@@ -25,11 +25,7 @@ from .partitions import (
     SetPartition,
     SizeCapError,
     enumerate_partitions,
-    kernel_of,
-    lattice_join,
-    lattice_meet,
     moebius_to_top,
-    special_count,
 )
 from . import kernels as K
 from . import laws as L
@@ -361,7 +357,6 @@ def cmd_simulate_invariance(args, cap):
 
 def cmd_simulate_levy(args, cap):
     jump = S.Sampler(args.jumps, seed=args.seed + 13)
-    rows = []
     orders = [int(x) for x in args.orders.split(",")]
     rep = S.variations_cumulant_check(
         lam=args.rate,

@@ -66,10 +66,6 @@ class LawSpec:
             raise LawError(f"law {self.name!r} holds cumulants only to order {self.max_order}")
         return self.cumulants[k]
 
-    @property
-    def is_centered(self) -> bool:
-        return self.cumulants[1] == 0
-
 
 def _integer_partitions(n: int, max_part: Optional[int] = None):
     if max_part is None:

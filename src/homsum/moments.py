@@ -9,7 +9,14 @@ Two independent routes compute every moment:
   set with index-constant blocks, the production path shared by joint
   moments and the fourth-moment decompositions.
 
-Both are exact rational end to end.
+One primitive, :func:`_block_sum`, evaluates the index sum of a single
+lattice partition: over every map from its blocks to [n], the product of the
+factors' kernel entries times optional per-block weights.  Its three callers
+are :func:`joint_moment` (weights: each index's cumulant of the block's
+size), the class terms of :func:`fourth_moment_formula` and the pairings of
+:func:`wick_moment` (unit weights).  The oracle never uses it.
+
+Both routes are exact rational end to end.
 """
 
 from __future__ import annotations
@@ -23,11 +30,12 @@ from typing import Optional, Sequence
 
 from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
 from .kernels import LiftedKernel
-from .laws import LawSpec
+from .laws import LawSpec, gaussian, semicircle
 from .partitions import (
     DEFAULT_SIZE_CAP,
     PartitionFilter,
     SetPartition,
+    _union_classes,
     enumerate_partitions,
 )
 
@@ -91,11 +99,10 @@ def _respectful_blocks(
     """Cached enumeration of the partitions entering a lattice moment sum:
     they respect the factor-interval partition and use only block sizes
     carrying a nonzero cumulant."""
-    star, _ = _factor_layout(degrees)
     filt = PartitionFilter(
         noncrossing=noncrossing,
         allowed_block_sizes=sizes,
-        respects=star,
+        respects=_factor_layout(degrees),
         partition_class=partition_class,
     )
     D = sum(degrees)
@@ -111,23 +118,56 @@ def _cumulant_support(laws: Sequence[LawSpec], D: int) -> frozenset[int]:
     return frozenset(sizes)
 
 
-def _factor_layout(degrees: Sequence[int]) -> tuple[SetPartition, list[tuple[int, int]]]:
-    """Interval partition of positions into factor blocks plus a position ->
-    (factor, slot) table (positions 1-based, factors/slots 0-based).
-    Zero-degree factors contribute no positions."""
-    pos_map: list[tuple[int, int]] = []
+def _factor_layout(degrees: Sequence[int]) -> SetPartition:
+    """Interval partition of the positions 1..sum(degrees) into one block per
+    factor.  Zero-degree factors contribute no positions."""
     blocks = []
     p = 1
-    for s, deg in enumerate(degrees):
-        if deg == 0:
-            continue
-        blocks.append(tuple(range(p, p + deg)))
-        for j in range(deg):
-            pos_map.append((s, j))
-        p += deg
-    total = p - 1
-    star = SetPartition(total, tuple(blocks)) if total else None
-    return star, pos_map
+    for deg in degrees:
+        if deg:
+            blocks.append(tuple(range(p, p + deg)))
+            p += deg
+    return SetPartition(p - 1, tuple(blocks))
+
+
+def _block_sum(
+    factors: Sequence[Kernel],
+    blocks: Sequence[Sequence[int]],
+    n: int,
+    weights: Optional[Sequence[Sequence[Fraction]]] = None,
+) -> Fraction:
+    """The lattice index sum of one partition of the positions.
+
+    Positions 1..D are laid out factor by factor and ``blocks`` partitions
+    them.  Sums, over every map a from blocks to [n], the product of each
+    factor's kernel entry at the indices a puts on its positions, times
+    ``weights[b][a(b) - 1]`` for every block b (unit weights when None).
+    """
+    block_of = {}
+    for bi, b in enumerate(blocks):
+        for p in b:
+            block_of[p] = bi
+    layout = []
+    p = 1
+    for k in factors:
+        layout.append((k.values, tuple(block_of[q] for q in range(p, p + k.d))))
+        p += k.d
+    total = Fraction(0)
+    for assign in itertools.product(range(1, n + 1), repeat=len(blocks)):
+        coeff = Fraction(1)
+        for values, slots in layout:
+            v = values.get(tuple([assign[b] for b in slots]))
+            if not v:
+                break
+            coeff *= v
+        else:
+            if weights is not None:
+                for row, i in zip(weights, assign):
+                    coeff *= row[i - 1]
+                    if coeff == 0:
+                        break
+            total += coeff
+    return total
 
 
 def joint_moment(
@@ -156,9 +196,6 @@ def joint_moment(
         if k.mode != "exact":
             raise ValueError("exact moments require exact-mode kernels")
 
-    def law_at(i: int) -> LawSpec:
-        return laws[0] if len(laws) == 1 else laws[i - 1]
-
     degrees = [kernels[s].d for s in word]
     D = sum(degrees)
     if D == 0:
@@ -179,38 +216,12 @@ def joint_moment(
     sizes = _cumulant_support(laws, D)
     if not sizes:
         return Fraction(0)
-    active = [s for s, deg in zip(word, degrees) if deg > 0]
-    active_degrees = tuple(kernels[s].d for s in active)
+    index_laws = laws * n if len(laws) == 1 else laws
+    rows = {size: tuple(l.cumulant(size) for l in index_laws) for size in sizes}
+    active = [kernels[s] for s in word if kernels[s].d > 0]
     total = Fraction(0)
-    for blocks in _respectful_blocks(active_degrees, kind == "free", sizes, cap):
-        nb = len(blocks)
-        pos_block = [0] * D
-        for bi, b in enumerate(blocks):
-            for p in b:
-                pos_block[p - 1] = bi
-        sub = Fraction(0)
-        for assign in itertools.product(range(1, n + 1), repeat=nb):
-            coeff = Fraction(1)
-            ok = True
-            # factor coefficients
-            pos = 0
-            for fi, s in enumerate(active):
-                deg = kernels[s].d
-                idx = tuple(assign[pos_block[pos + j]] for j in range(deg))
-                v = kernels[s].values.get(idx)
-                if not v:
-                    ok = False
-                    break
-                coeff *= v
-                pos += deg
-            if not ok:
-                continue
-            for bi, b in enumerate(blocks):
-                coeff *= law_at(assign[bi]).cumulant(len(b))
-                if coeff == 0:
-                    break
-            sub += coeff
-        total += sub
+    for blocks in _respectful_blocks(tuple(k.d for k in active), kind == "free", sizes, cap):
+        total += _block_sum(active, blocks, n, [rows[len(b)] for b in blocks])
     return scalar * total
 
 
@@ -237,7 +248,9 @@ def _free_word_expectation(word, laws_for, centered, cache) -> Fraction:
     first: dict[int, int] = {}
     for v in word:
         canon.append(first.setdefault(v, len(first)))
-    key = (tuple(canon), tuple(laws_for(v).name for v in word))
+    # the cache lives for one oracle call, whose spec keeps every law alive,
+    # so a law's identity names it (hashing the law itself is much slower)
+    key = (tuple(canon), tuple(id(laws_for(v)) for v in first))
     if key in cache:
         return cache[key]
     total = Fraction(0)
@@ -329,59 +342,19 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     if D > cap:
         raise FeasibilityError(f"lifted degree {D} exceeds the partition cap {cap}")
 
-    # slot group blocks: for each copy, one block per base argument (size h_j)
-    blocks = []
-    slot_arg: list[tuple[int, int]] = []  # position -> (copy, base argument)
-    p = 1
-    for copy in range(m):
-        for a, h in enumerate(lk.orders):
-            blocks.append(tuple(range(p, p + h)))
-            for _ in range(h):
-                slot_arg.append((copy, a))
-            p += h
-    star = SetPartition(D, tuple(blocks))
+    # slots are laid out copy by copy, base argument by base argument, so the
+    # slot group of a slot is the position of its base argument
+    star = _factor_layout(lk.orders * m)
+    arg_of = star.block_of
     filt = PartitionFilter(
         noncrossing=(mode == "free"),
         allowed_block_sizes=frozenset({2}),
         respects=star,
     )
-
-    d = f.d
     total = Fraction(0)
     for sigma in enumerate_partitions(D, filt, cap):
-        # union-find on the m*d base arguments forced equal by the pairing
-        parent = list(range(m * d))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v) in sigma.blocks:
-            cu, au = slot_arg[u - 1]
-            cv, av = slot_arg[v - 1]
-            ru, rv = find(cu * d + au), find(cv * d + av)
-            if ru != rv:
-                parent[rv] = ru
-        classes: dict[int, int] = {}
-        cls_of = [0] * (m * d)
-        for x in range(m * d):
-            r = find(x)
-            cls_of[x] = classes.setdefault(r, len(classes))
-        k = len(classes)
-        sub = Fraction(0)
-        for assign in itertools.product(range(1, f.n + 1), repeat=k):
-            term = Fraction(1)
-            for copy in range(m):
-                idx = tuple(assign[cls_of[copy * d + a]] for a in range(d))
-                v = f.values.get(idx)
-                if not v:
-                    term = Fraction(0)
-                    break
-                term *= v
-            sub += term
-        total += sub
+        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in sigma.blocks)
+        total += _block_sum((f,) * m, _union_classes(m * f.d, links), f.n)
     return total
 
 
@@ -389,21 +362,13 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
 # fourth-moment decompositions
 
 
-def _gaussian_fourth(g: Kernel, cap: int) -> Fraction:
-    """E[Q_N(g)^4] for a diagonal-vanishing kernel g (degree 0 allowed)."""
-    from .laws import gaussian
-
+def _standard_fourth(g: Kernel, kind: str, cap: int) -> Fraction:
+    """E[Q(g)^4] over standard Gaussian (classical kind) or standard
+    semicircular (free kind) entries; g vanishes on diagonals, degree 0 allowed."""
     if g.d == 0:
         return g(()) ** 4
-    return moment_exact(SumSpec(g, gaussian(1, max_order=8)), 4, cap)
-
-
-def _semicircular_fourth(g: Kernel, cap: int) -> Fraction:
-    from .laws import semicircle
-
-    if g.d == 0:
-        return g(()) ** 4
-    return moment_exact(SumSpec(g, semicircle(1, max_order=8)), 4, cap)
+    law = gaussian(1, max_order=8) if kind == "classical" else semicircle(1, max_order=8)
+    return moment_exact(SumSpec(g, law), 4, cap)
 
 
 def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
@@ -432,11 +397,10 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         raise AssumptionError("law must be centered with unit variance")
 
     if spec.kind == "free":
-        base = _semicircular_fourth(f, cap)
-        slice_fourths = []
-        for k in range(1, f.n + 1):
-            g = slice_kernel(f, (k,))
-            slice_fourths.append(_semicircular_fourth(g, cap))
+        base = _standard_fourth(f, "free", cap)
+        slice_fourths = [
+            _standard_fourth(slice_kernel(f, (k,)), "free", cap) for k in range(1, f.n + 1)
+        ]
         kappa4 = law.cumulant(4)
         correction = kappa4 * sum(slice_fourths, Fraction(0))
         return {
@@ -451,7 +415,7 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     if law.moment(3) != 0:
         raise AssumptionError("classical decomposition assumes E[X^3] = 0")
     chi4 = law.cumulant(4)
-    base = _gaussian_fourth(f, cap)
+    base = _standard_fourth(f, "classical", cap)
     class_terms: list[Fraction] = []
     class_counts: list[int] = []
     for m in range(1, d + 1):
@@ -459,26 +423,8 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         respectful = _respectful_blocks(
             (d, d, d, d), False, frozenset({2, 4}), cap, census
         )
-        term = Fraction(0)
-        count = len(respectful)
-        for blocks in respectful:
-            nb = len(blocks)
-            pos_block = [0] * (4 * d)
-            for bi, b in enumerate(blocks):
-                for p in b:
-                    pos_block[p - 1] = bi
-            for assign in itertools.product(range(1, f.n + 1), repeat=nb):
-                coeff = Fraction(1)
-                for l in range(4):
-                    idx = tuple(assign[pos_block[l * d + j]] for j in range(d))
-                    v = f.values.get(idx)
-                    if not v:
-                        coeff = Fraction(0)
-                        break
-                    coeff *= v
-                term += coeff
-        class_terms.append(term)
-        class_counts.append(count)
+        class_terms.append(sum((_block_sum((f,) * 4, b, f.n) for b in respectful), Fraction(0)))
+        class_counts.append(len(respectful))
 
     closed_form_terms: list[Fraction] = []
     for m in range(1, d + 1):
@@ -487,7 +433,7 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         for j in itertools.product(range(1, f.n + 1), repeat=m):
             g = slice_kernel(f, j)
             if g.values or g.d == 0:
-                acc += _gaussian_fourth(g, cap)
+                acc += _standard_fourth(g, "classical", cap)
         closed_form_terms.append(coeff * acc)
 
     total = base
@@ -536,11 +482,8 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
     d = f.d
     lo = min(chi4s)
     A = min(lo**m for m in range(1, d + 1))
-    from .laws import gaussian
-
-    gauss = gaussian(1, max_order=8)
-    base = _gaussian_fourth(f, cap)
-    iid_rec = fourth_moment_formula(SumSpec(f, gauss), cap)
+    base = _standard_fourth(f, "classical", cap)
+    iid_rec = fourth_moment_formula(SumSpec(f, gaussian(1, max_order=8)), cap)
     class_sum = sum(iid_rec["class_terms"], Fraction(0))
     m4 = moment_exact(spec, 4, cap)
     var = moment_exact(spec, 2, cap)

@@ -85,10 +85,6 @@ def poly_to_strings(p) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in p]
 
 
-def poly_from_strings(items) -> Poly:
-    return poly_trim([Fraction(s) for s in items])
-
-
 # ---------------------------------------------------------------------------
 # exact determinants
 
@@ -132,6 +128,14 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 # moment functionals
 
 
+def _binomial_shift(moments: Sequence[Fraction], t: Fraction) -> tuple[Fraction, ...]:
+    """Moments of X + t from the moments of X: sum_j binom(k, j) m_j t^(k-j)."""
+    return tuple(
+        sum((math.comb(k, j) * moments[j] * t ** (k - j) for j in range(k + 1)), Fraction(0))
+        for k in range(len(moments))
+    )
+
+
 @dataclass(frozen=True)
 class MomentFunctional:
     """Per-group exact moment sequences a_{jk} (group j, order k).
@@ -146,10 +150,6 @@ class MomentFunctional:
         for g in self.groups:
             if not g or g[0] != 1:
                 raise OrthopolyError("every moment sequence must start at a_0 = 1")
-
-    @staticmethod
-    def from_moments(*seqs) -> "MomentFunctional":
-        return MomentFunctional(tuple(tuple(Fraction(x) for x in s) for s in seqs))
 
     @staticmethod
     def from_law(law: LawSpec, *extra_laws: LawSpec) -> "MomentFunctional":
@@ -169,17 +169,7 @@ class MomentFunctional:
 
     def shifted(self, t) -> "MomentFunctional":
         """Moments of X + t for every group (binomial transform); exact."""
-        t = Fraction(t)
-        out = []
-        for g in self.groups:
-            shifted = []
-            for k in range(len(g)):
-                acc = Fraction(0)
-                for j in range(k + 1):
-                    acc += math.comb(k, j) * g[j] * t ** (k - j)
-                shifted.append(acc)
-            out.append(tuple(shifted))
-        return MomentFunctional(tuple(out))
+        return MomentFunctional(tuple(_binomial_shift(g, Fraction(t)) for g in self.groups))
 
 
 def hankel_det(F: MomentFunctional, n: int) -> dict:
@@ -378,15 +368,6 @@ class MultiMomentFunctional:
         the main laws translated by that amount (distinct rows keep the
         generalized determinants nonsingular).
         """
-        def shifted_moments(law: LawSpec, t: Fraction) -> list[Fraction]:
-            out = []
-            for k in range(law.max_order + 1):
-                acc = Fraction(0)
-                for j in range(k + 1):
-                    acc += math.comb(k, j) * law.moments[j] * t ** (k - j)
-                out.append(acc)
-            return out
-
         def table(per_coord_moments):
             out = {}
             for k in itertools.product(*[range(2 * u + 1) for u in up_to]):
@@ -400,7 +381,7 @@ class MultiMomentFunctional:
         for t in shifts:
             per = tuple(t) if isinstance(t, (tuple, list)) else (t,) * len(laws)
             groups.append(
-                table([shifted_moments(l, Fraction(ti)) for l, ti in zip(laws, per)])
+                table([_binomial_shift(l.moments, Fraction(ti)) for l, ti in zip(laws, per)])
             )
         return MultiMomentFunctional(len(laws), tuple(groups))
 

@@ -85,15 +85,9 @@ class SetPartition:
     def block_of(self) -> dict[int, int]:
         return _block_index(self)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     def partition_class(self) -> tuple[int, ...]:
         """Block-size census as a descending integer partition of n."""
         return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-    def is_pairing(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
 
     def is_noncrossing(self) -> bool:
         blk = self.block_of
@@ -172,10 +166,10 @@ def lattice_meet(sigma: SetPartition, pi: SetPartition) -> SetPartition:
     return SetPartition.from_blocks(sigma.n, blocks)
 
 
-def lattice_join(sigma: SetPartition, pi: SetPartition) -> SetPartition:
-    if sigma.n != pi.n:
-        raise ValueError("ground-set sizes differ")
-    parent = list(range(sigma.n + 1))
+def _union_classes(n: int, links) -> list[list[int]]:
+    """Classes of [n] under the equivalence generated by the pairs ``links``:
+    each class ascending, classes ordered by their least element."""
+    parent = list(range(n + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -183,18 +177,21 @@ def lattice_join(sigma: SetPartition, pi: SetPartition) -> SetPartition:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
-
-    for b in list(sigma.blocks) + list(pi.blocks):
-        for x in b[1:]:
-            union(b[0], x)
     groups: dict[int, list[int]] = {}
-    for x in range(1, sigma.n + 1):
+    for x in range(1, n + 1):
         groups.setdefault(find(x), []).append(x)
-    return SetPartition.from_blocks(sigma.n, groups.values())
+    return list(groups.values())
+
+
+def lattice_join(sigma: SetPartition, pi: SetPartition) -> SetPartition:
+    if sigma.n != pi.n:
+        raise ValueError("ground-set sizes differ")
+    links = ((b[0], x) for b in sigma.blocks + pi.blocks for x in b[1:])
+    return SetPartition.from_blocks(sigma.n, _union_classes(sigma.n, links))
 
 
 @dataclass(frozen=True)
@@ -326,8 +323,9 @@ def moebius_to_top(sigma: SetPartition, mode: str = "classical", cap: int = DEFA
     """Moebius value mu(sigma, 1) in the full partition lattice or in NC([n]).
 
     Classical values come from the closed form (-1)^(b-1) (b-1)!; the
-    non-crossing values are obtained by inverting the zeta function from the
-    top of NC([n]) downwards, which sidesteps sign-convention traps.
+    non-crossing values from the Kreweras form: the product over the blocks V
+    of K(sigma) = sigma^{-1} gamma, gamma = (1 2 ... n), of
+    (-1)^(|V|-1) Cat_{|V|-1}.
     """
     _check_cap(sigma.n, cap)
     if mode == "classical":
@@ -337,24 +335,21 @@ def moebius_to_top(sigma: SetPartition, mode: str = "classical", cap: int = DEFA
         raise ValueError("mode must be 'classical' or 'noncrossing'")
     if not sigma.is_noncrossing():
         raise ValueError("sigma is not non-crossing")
-
-    memo: dict[tuple, Fraction] = {}
-
-    def mu(tau: SetPartition) -> Fraction:
-        key = tau.blocks
-        if key in memo:
-            return memo[key]
-        if len(tau.blocks) == 1:
-            memo[key] = Fraction(1)
-            return memo[key]
-        total = Fraction(0)
-        for up in coarsenings(tau, noncrossing=True):
-            if up.blocks != tau.blocks:
-                total += mu(up)
-        memo[key] = -total
-        return memo[key]
-
-    return mu(sigma)
+    # sigma as a permutation: each block is one cycle, in increasing order
+    n = sigma.n
+    sigma_inv = {b[i]: b[i - 1] for b in sigma.blocks for i in range(len(b))}
+    seen = [False] * (n + 1)
+    out = 1
+    for start in range(1, n + 1):
+        size = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            size += 1
+            x = sigma_inv[x % n + 1]
+        if size:
+            out *= (-1) ** (size - 1) * catalan(size - 1)
+    return Fraction(out)
 
 
 def catalan(k: int) -> int:

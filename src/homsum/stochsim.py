@@ -25,6 +25,9 @@ _SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered
 
 
 def _stream(seed: int, task: int = 0) -> np.random.Generator:
+    """Philox stream keyed by (seed, task), packed as seed + task * 2^32."""
+    if not (0 <= seed < 2**32 and 0 <= task < 2**32):
+        raise ValueError(f"seed {seed} and task {task} must lie in [0, 2^32)")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(task) << np.uint64(32))))
 
 
@@ -112,8 +115,9 @@ def sample_homsum(f: Kernel, sampler: Sampler, trials: int, task: int = 0) -> np
 
 
 def wasserstein1_empirical(sample: np.ndarray, reference="standard_normal_quantiles") -> float:
-    """Order-statistics W1: mean |x_(i) - y_(i)| against another sample, or
-    against the standard normal quantiles Phi^{-1}((i - 1/2)/N)."""
+    """Empirical W1 against another sample, or against the standard normal
+    quantiles Phi^{-1}((i - 1/2)/N).  Equal sizes give the order-statistics
+    mean |x_(i) - y_(i)|; unequal sizes the exact W1 of the two empirical laws."""
     x = np.sort(np.asarray(sample, dtype=float))
     if len(x) < 2:
         raise ValueError("sample size must be >= 2")
@@ -124,13 +128,16 @@ def wasserstein1_empirical(sample: np.ndarray, reference="standard_normal_quanti
         q = np.array([nd.inv_cdf((i + 0.5) / len(x)) for i in range(len(x))])
         return float(np.mean(np.abs(x - q)))
     y = np.sort(np.asarray(reference, dtype=float))
-    if len(y) != len(x):
-        n = min(len(x), len(y))
-        import warnings
-
-        warnings.warn("sample sizes differ; truncating to the shorter length")
-        x, y = x[:n], y[:n]
-    return float(np.mean(np.abs(x - y)))
+    if len(y) == len(x):
+        return float(np.mean(np.abs(x - y)))
+    if len(y) < 1:
+        raise ValueError("reference sample must be non-empty")
+    # exact W1 = integral of |F_x - F_y|, the same as that of |F_x^{-1} - F_y^{-1}|;
+    # both empirical CDFs are constant between consecutive merged sample points
+    z = np.sort(np.concatenate((x, y)))
+    fx = np.searchsorted(x, z[:-1], side="right") / len(x)
+    fy = np.searchsorted(y, z[:-1], side="right") / len(y)
+    return float(np.sum(np.abs(fx - fy) * np.diff(z)))
 
 
 def invariance_decay_experiment(

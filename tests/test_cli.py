@@ -225,6 +225,13 @@ def test_exit_codes(tmp_path, half_kernel_path, capsys):
     assert code == 2
 
 
+def test_out_of_range_seed_exits_2(tmp_path):
+    code, payload = run_json(
+        ["simulate-invariance", "--sizes", "4", "--trials", "10", "--seed", "-1"], tmp_path
+    )
+    assert code == 2 and "error" in payload["result"]
+
+
 def test_cap_env_override(tmp_path, half_kernel_path, monkeypatch):
     monkeypatch.setenv("HOMSUM_CAP", "6")
     code, payload = run_json(

@@ -111,6 +111,10 @@ def test_oracle_equivalence_property_random_kernels():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
+    # per-index law lists of both kinds, among them same-name laws with
+    # different parameters
+    families = ((gaussian, centered_poisson), (semicircle, free_poisson_centered))
+
     @given(st.randoms(use_true_random=False), st.integers(min_value=2, max_value=3),
            st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
     @settings(max_examples=25, deadline=None)
@@ -128,8 +132,23 @@ def test_oracle_equivalence_property_random_kernels():
                     free_poisson_centered(1, 10)):
             spec = SumSpec(k, law)
             assert moment_exact(spec, m) == moment_oracle(spec, m)
+        for ctors in families:
+            same_name = rnd.choice(ctors)
+            for laws in ([same_name(p, 10) for p in rnd.sample((1, 2, 5), n)],
+                         [rnd.choice(ctors)(rnd.choice((1, 2)), 10) for _ in range(n)]):
+                spec = SumSpec(k, laws)
+                assert moment_exact(spec, m) == moment_oracle(spec, m)
 
     check()
+
+
+def test_free_oracle_separates_same_name_laws():
+    f = offdiag_kernel(3)
+    for law, params, m2, m4 in [(semicircle, (1, 1, 5), 22, 1210),
+                                (free_poisson_centered, (1, 1, 3), 14, 578)]:
+        spec = SumSpec(f, [law(p, 10) for p in params])
+        assert moment_exact(spec, 2) == moment_oracle(spec, 2) == m2
+        assert moment_exact(spec, 4) == moment_oracle(spec, 4) == m4
 
 
 def test_float_mode_contraction_tracks_exact():

@@ -73,10 +73,35 @@ def test_wasserstein_basics():
     x = np.arange(10.0)
     assert wasserstein1_empirical(x, x) == 0
     assert abs(wasserstein1_empirical(x, x + 3) - 3) < 1e-12
-    with pytest.warns(UserWarning):
-        wasserstein1_empirical(np.arange(9.0), np.arange(10.0))
+    # unequal sizes: exact W1 of the two empirical laws, no truncation
+    assert wasserstein1_empirical(np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])) == pytest.approx(
+        1 / 6, abs=1e-15
+    )
     with pytest.raises(ValueError):
         wasserstein1_empirical(np.array([1.0]))
+
+
+def test_wasserstein_unequal_sizes_matches_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal(10_000), rng.standard_normal(20_000)
+    w = wasserstein1_empirical(x, y)
+    assert w == pytest.approx(scipy_stats.wasserstein_distance(x, y), rel=1e-9)
+    assert w < 0.05
+    for nx, ny in [(2, 3), (7, 5), (53, 37)]:
+        a, b = rng.exponential(size=nx), rng.standard_normal(ny)
+        assert wasserstein1_empirical(a, b) == pytest.approx(
+            scipy_stats.wasserstein_distance(a, b), rel=1e-9
+        )
+
+
+def test_stream_rejects_seed_and_task_outside_32_bits():
+    # seed + (task << 32) would alias (2^32, 0) onto (0, 1)
+    for seed, task in [(2**32, 0), (-1, 0), (0, 2**32), (0, -1)]:
+        with pytest.raises(ValueError):
+            Sampler("gaussian", seed=seed).draw(4, task=task)
+    top = Sampler("gaussian", seed=2**32 - 1).draw(4, task=2**32 - 1)
+    assert top.shape == (4,)
 
 
 def test_invariance_decay_offdiag_family():
