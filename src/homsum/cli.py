@@ -23,7 +23,6 @@ from .partitions import (
     DEFAULT_SIZE_CAP,
     PartitionFilter,
     SetPartition,
-    SizeCapError,
     enumerate_partitions,
     moebius_to_top,
 )
@@ -121,7 +120,7 @@ def _load_kernel(path: str, mode: str) -> K.Kernel:
             k = K.kernel_from_json(fh.read())
     except FileNotFoundError:
         raise CliValidationError("kernel-file", f"kernel file not found: {path}", "kernel")
-    except (json.JSONDecodeError, KeyError, K.KernelError) as e:
+    except K.KernelError as e:
         raise CliValidationError("kernel-parse", f"bad kernel file: {e}", "kernel")
     if mode == "float" and k.mode == "exact":
         k = k.to_float()
@@ -286,20 +285,18 @@ def cmd_recurrence(args, cap):
     }
 
 
+def _node_rows(nodes, weights) -> list[dict]:
+    return [
+        {"node_re": z.real, "node_im": z.imag, "weight_re": w.real, "weight_im": w.imag}
+        for z, w in zip(nodes, weights)
+    ]
+
+
 def cmd_quadrature(args, cap):
     F = _law_functional(args, 2 * args.n)
     rule = O.quadrature_rule(F, args.n, tol=args.tol_float)
-    rows = [
-        {
-            "node_re": z.real,
-            "node_im": z.imag,
-            "weight_re": w.real,
-            "weight_im": w.imag,
-        }
-        for z, w in zip(rule.nodes, rule.weights)
-    ]
     return {
-        "rows": rows,
+        "rows": _node_rows(rule.nodes, rule.weights),
         "exactness_degree": rule.exactness_degree,
         "node_kind": rule.node_kind,
         "max_residual": rule.max_residual,
@@ -321,10 +318,7 @@ def cmd_sylvester(args, cap):
         "mode": dec.mode,
         "degree": dec.degree,
         "poly": O.poly_to_strings(dec.poly),
-        "rows": [
-            {"node_re": z.real, "node_im": z.imag, "weight_re": w.real, "weight_im": w.imag}
-            for z, w in zip(dec.nodes, dec.weights)
-        ],
+        "rows": _node_rows(dec.nodes, dec.weights),
         "weight_sum_re": dec.weight_sum.real,
         "weight_sum_im": dec.weight_sum.imag,
         "target": dec.target,
@@ -341,12 +335,8 @@ _FAMILIES = {
 
 
 def cmd_simulate_invariance(args, cap):
-    try:
-        family = _FAMILIES[args.family]
-    except KeyError:
-        raise CliValidationError("family", f"unknown family {args.family!r}; known: {sorted(_FAMILIES)}", "family")
     rows = S.invariance_decay_experiment(
-        family,
+        _FAMILIES[args.family],
         S.Sampler(args.sampler_a, seed=args.seed),
         S.Sampler(args.sampler_b, seed=args.seed + 1),
         sizes=[int(x) for x in args.sizes.split(",")],
@@ -375,20 +365,10 @@ def cmd_kstat(args, cap):
     if args.measure == "gaussian":
         cell = S.gaussian_cell_sampler
         target = args.horizon if args.order == 2 else 0.0
-    elif args.measure == "compound_poisson":
-        jump = S.Sampler(args.jumps, seed=args.seed + 13)
-        jl = jump.law_spec(max(8, 2 * args.order))
-
-        def cell(measure, rng, _j=jump):
-            count = int(rng.poisson(args.rate * measure))
-            if not count:
-                return 0.0
-            sub = S.Sampler(_j.law, seed=int(rng.integers(0, 2**31)), params=_j.params)
-            return float(sub.draw(count).sum())
-
-        target = args.horizon * args.rate * float(jl.moment(args.order))
-    else:
-        raise CliValidationError("measure", "measure must be gaussian or compound_poisson", "measure")
+    else:  # compound_poisson
+        jump = S.Sampler(args.jumps, seed=args.seed)
+        cell = S.compound_poisson_cell_sampler(args.rate, jump.draw_from)
+        target = args.horizon * args.rate * float(jump.law_spec(max(8, 2 * args.order)).moment(args.order))
     return S.kstat_experiment(cell, target, args.order, args.refinement, args.paths, args.horizon, args.seed)
 
 
@@ -419,26 +399,40 @@ def build_parser() -> UsageParser:
     parser.add_argument("--version", action="version", version=f"homsum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, law=False, kernel=False):
-        p.add_argument("--mode", choices=["exact", "float"], default="exact",
-                       help="scalar mode (default exact)")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized step (default 0)")
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"partition-size cap (default {DEFAULT_SIZE_CAP}; env HOMSUM_CAP overrides the default)")
+    def subcommand(name, help, *, modes=(), seed=False, cap=False, tol=False, tol_float=False,
+                   law=False, kernel=False):
+        """A subparser with --format and --output plus only the option groups
+        its handler reads; ``modes`` lists the accepted --mode values."""
+        p = sub.add_parser(name, help=help)
+        if modes:
+            p.add_argument("--mode", choices=modes, default="exact",
+                           help="scalar mode (default exact)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for any randomized step (default 0)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"partition-size cap (default {DEFAULT_SIZE_CAP}; env HOMSUM_CAP overrides the default)")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json",
                        help="output format (default json)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--tol", default=None, help="rational tolerance for verdicts (default exact zero)")
-        p.add_argument("--tol-float", type=float, default=1e-9, help="float tolerance (default 1e-9)")
+        if tol:
+            p.add_argument("--tol", default=None, help="rational tolerance for verdicts (default exact zero)")
+        if tol_float:
+            p.add_argument("--tol-float", type=float, default=1e-9, help="float tolerance (default 1e-9)")
         if law:
             p.add_argument("--law", default=None, help="builtin law name or a law JSON path")
             p.add_argument("--law-param", action="append", default=[],
                            help="law parameter key=value (repeatable), e.g. sigma2=1")
         if kernel:
             p.add_argument("--kernel", required=True, help="kernel JSON path")
+        return p
 
-    p = sub.add_parser("partitions", help="enumerate set / non-crossing partitions")
-    common(p)
+    # the kernel subcommands work in either mode; the exact-engine subcommands
+    # force exact mode, so they accept --mode exact and nothing else
+    either = ["exact", "float"]
+    exact_engine = dict(modes=["exact"], cap=True, law=True)
+
+    p = subcommand("partitions", "enumerate set / non-crossing partitions", cap=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pairings", action="store_true", help="blocks of size 2 only")
     p.add_argument("--noncrossing", action="store_true")
@@ -446,81 +440,65 @@ def build_parser() -> UsageParser:
     p.add_argument("--respects", default=None, help='partition text form, e.g. "1,2|3,4"')
     p.add_argument("--moebius", action="store_true", help="include Moebius values to the top")
 
-    p = sub.add_parser("kernel-validate", help="admissibility report for a kernel")
-    common(p, kernel=True)
+    p = subcommand("kernel-validate", "admissibility report for a kernel", modes=either, kernel=True)
     p.add_argument("--flavor", choices=["classical", "free", "mirror"], required=True)
 
-    p = sub.add_parser("contract", help="contraction or star contraction of kernels")
-    common(p, kernel=True)
+    p = subcommand("contract", "contraction or star contraction of kernels", modes=either, kernel=True)
     p.add_argument("--other", default=None, help="second kernel JSON (default: same kernel)")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--star", action="store_true", help="star contraction instead of plain")
 
-    p = sub.add_parser("influence", help="influence profile and tau_max")
-    common(p, kernel=True)
+    subcommand("influence", "influence profile and tau_max", modes=either, kernel=True)
 
-    p = sub.add_parser("moment", help="exact moment of a homogeneous sum")
-    common(p, law=True, kernel=True)
+    p = subcommand("moment", "exact moment of a homogeneous sum", kernel=True, **exact_engine)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--with-oracle", action="store_true", help="also run the brute-force oracle")
 
-    p = sub.add_parser("fourth-moment", help="fourth-moment decomposition record")
-    common(p, law=True, kernel=True)
+    subcommand("fourth-moment", "fourth-moment decomposition record", kernel=True, **exact_engine)
 
-    p = sub.add_parser("fmt-check", help="fourth-moment-theorem diagnostic report")
-    common(p, law=True, kernel=True)
+    subcommand("fmt-check", "fourth-moment-theorem diagnostic report", kernel=True, tol=True, **exact_engine)
 
-    p = sub.add_parser("noncentral-check", help="gamma / free-Poisson approximation diagnostic")
-    common(p, law=True, kernel=True)
+    p = subcommand("noncentral-check", "gamma / free-Poisson approximation diagnostic", kernel=True, **exact_engine)
     p.add_argument("--target", choices=["gamma", "free_poisson"], required=True)
     p.add_argument("--param", required=True, help="nu or lambda (rational)")
 
-    p = sub.add_parser("joint-moment", help="mixed moment of several homogeneous sums")
-    common(p, law=True)
+    p = subcommand("joint-moment", "mixed moment of several homogeneous sums", **exact_engine)
     p.add_argument("--kernel", action="append", required=True, help="kernel JSON path (repeatable)")
     p.add_argument("--word", required=True, help="comma-separated kernel indices, e.g. 0,1,0")
 
-    p = sub.add_parser("stein-bound", help="quadratic Stein-pair Wasserstein bound")
-    common(p, law=True, kernel=True)
+    p = subcommand("stein-bound", "quadratic Stein-pair Wasserstein bound", kernel=True, **exact_engine)
     p.add_argument("--abs-third-moment", type=float, required=True, help="E|X|^3 of the law")
     p.add_argument("--rosenthal", type=float, default=4.0, help="Rosenthal constant R3 (default 4)")
 
-    p = sub.add_parser("gops", help="generalized orthogonal polynomial p_{nm}")
-    common(p, law=True)
+    p = subcommand("gops", "generalized orthogonal polynomial p_{nm}", law=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--with-expectation-route", action="store_true")
 
-    p = sub.add_parser("recurrence", help="Jacobi-Szego coefficients and monic OPs")
-    common(p, law=True)
+    p = subcommand("recurrence", "Jacobi-Szego coefficients and monic OPs", law=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("quadrature", help="Gauss rule: nodes, Christoffel weights, exactness")
-    common(p, law=True)
+    p = subcommand("quadrature", "Gauss rule: nodes, Christoffel weights, exactness", law=True, tol_float=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("discriminant", help="E[Delta^(2k)] by quadrature/expansion/closed form")
-    common(p, law=True)
+    p = subcommand("discriminant", "E[Delta^(2k)] by quadrature/expansion/closed form", law=True)
     p.add_argument("--N", type=int, required=True, help="sample size")
     p.add_argument("--k", type=int, required=True, help="half the Vandermonde power")
     p.add_argument("--method", choices=["expansion", "quadrature", "lu_gaussian"], default="expansion")
 
-    p = sub.add_parser("sylvester", help="Sylvester power-sum decompositions")
-    common(p, law=True)
+    p = subcommand("sylvester", "Sylvester power-sum decompositions", law=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--sylvester-mode", choices=["discriminant", "appel"], default="discriminant")
 
-    p = sub.add_parser("simulate-invariance", help="invariance-decay trajectory experiment")
-    common(p)
+    p = subcommand("simulate-invariance", "invariance-decay trajectory experiment", seed=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), default="offdiag")
     p.add_argument("--sampler-a", default="gaussian")
     p.add_argument("--sampler-b", default="rademacher")
     p.add_argument("--sizes", default="4,8,16,32")
     p.add_argument("--trials", type=int, default=20000)
 
-    p = sub.add_parser("simulate-levy", help="variations-cumulant Monte Carlo check")
-    common(p)
+    p = subcommand("simulate-levy", "variations-cumulant Monte Carlo check", seed=True)
     p.add_argument("--rate", type=float, default=2.0)
     p.add_argument("--sigma2", type=float, default=0.0)
     p.add_argument("--horizon", type=float, default=1.0)
@@ -528,8 +506,7 @@ def build_parser() -> UsageParser:
     p.add_argument("--orders", default="3", help="comma-separated variation orders")
     p.add_argument("--paths", type=int, default=10000)
 
-    p = sub.add_parser("kstat", help="diagonal-measure kappa-statistic experiment")
-    common(p)
+    p = subcommand("kstat", "diagonal-measure kappa-statistic experiment", seed=True)
     p.add_argument("--measure", choices=["gaussian", "compound_poisson"], default="gaussian")
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--refinement", type=int, default=100)
@@ -543,7 +520,7 @@ def build_parser() -> UsageParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = args.cap
+    cap = getattr(args, "cap", None)
     if cap is None:
         cap = int(os.environ.get("HOMSUM_CAP", DEFAULT_SIZE_CAP))
     config = {
@@ -562,8 +539,7 @@ def run(argv=None) -> int:
     except CliValidationError as e:
         emit({"error": e.record}, config, "json", getattr(args, "output", None))
         return 2
-    except (SizeCapError, M.FeasibilityError, M.AssumptionError, O.OrthopolyError,
-            K.KernelError, L.LawError, ValueError) as e:
+    except ValueError as e:
         emit(
             {"error": {"code": type(e).__name__, "message": str(e), "field": ""}},
             config,

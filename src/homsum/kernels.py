@@ -364,15 +364,21 @@ def kernel_to_json(f: Kernel) -> str:
 
 
 def kernel_from_json(text: str) -> Kernel:
-    obj = json.loads(text)
-    entries = [(tuple(e["idx"]), e["val"]) for e in obj["entries"]]
-    return build_kernel(
-        int(obj["n"]),
-        int(obj["d"]),
-        entries,
-        symmetrize=bool(obj.get("symmetrize", False)),
-        mode=obj.get("mode", "exact"),
-    )
+    """Parse the kernel JSON format; any malformed document raises KernelError."""
+    try:
+        obj = json.loads(text)
+        entries = [(tuple(e["idx"]), e["val"]) for e in obj["entries"]]
+        return build_kernel(
+            int(obj["n"]),
+            int(obj["d"]),
+            entries,
+            symmetrize=bool(obj.get("symmetrize", False)),
+            mode=obj.get("mode", "exact"),
+        )
+    except KernelError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        raise KernelError(f"malformed kernel JSON: {type(e).__name__}: {e}") from None
 
 
 def offdiag_kernel(n: int, value: Scalar = Fraction(1), mode: str = "exact") -> Kernel:

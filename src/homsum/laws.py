@@ -402,6 +402,14 @@ def law_to_json(law: LawSpec) -> str:
 
 
 def law_from_json(text: str, cap: int = DEFAULT_SIZE_CAP) -> LawSpec:
-    obj = json.loads(text)
-    moms = tuple(Fraction(m) for m in obj["moments"])
-    return _law_from_moments(obj["name"], obj["kind"], moms, cap)
+    """Parse the law JSON format; any malformed document raises LawError."""
+    try:
+        obj = json.loads(text)
+        name, kind, moms = obj["name"], obj["kind"], obj["moments"]
+        if not isinstance(name, str) or not isinstance(moms, list) or not moms:
+            raise LawError("need a string 'name' and a non-empty 'moments' list")
+        return _law_from_moments(name, kind, (Fraction(m) for m in moms), cap)
+    except LawError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as e:
+        raise LawError(f"malformed law JSON: {type(e).__name__}: {e}") from None

@@ -109,10 +109,12 @@ def _respectful_blocks(
     return tuple(p.blocks for p in enumerate_partitions(D, filt, cap))
 
 
-def _cumulant_support(laws: Sequence[LawSpec], D: int) -> frozenset[int]:
+def _cumulant_support(laws: Sequence[LawSpec], largest: int) -> frozenset[int]:
+    """Block sizes up to ``largest`` with a nonzero cumulant under some law;
+    a law holding fewer cumulants raises LawError."""
     sizes = set()
     for l in laws:
-        for s in range(1, min(l.max_order, D) + 1):
+        for s in range(1, largest + 1):
             if l.cumulant(s) != 0:
                 sizes.add(s)
     return frozenset(sizes)
@@ -213,12 +215,13 @@ def joint_moment(
     if scalar == 0:
         return Fraction(0)
 
-    sizes = _cumulant_support(laws, D)
+    # a respectful block holds at most one position of each factor
+    active = [kernels[s] for s in word if kernels[s].d > 0]
+    sizes = _cumulant_support(laws, len(active))
     if not sizes:
         return Fraction(0)
     index_laws = laws * n if len(laws) == 1 else laws
     rows = {size: tuple(l.cumulant(size) for l in index_laws) for size in sizes}
-    active = [kernels[s] for s in word if kernels[s].d > 0]
     total = Fraction(0)
     for blocks in _respectful_blocks(tuple(k.d for k in active), kind == "free", sizes, cap):
         total += _block_sum(active, blocks, n, [rows[len(b)] for b in blocks])
@@ -677,7 +680,6 @@ def noncentral_report(spec: SumSpec, target: str, param, cap: int = DEFAULT_SIZE
 def stein_wasserstein_bound(
     spec: SumSpec,
     abs_third_moment: float,
-    tau: Optional[float] = None,
     rosenthal_c3: float = 4.0,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> dict:
@@ -700,8 +702,7 @@ def stein_wasserstein_bound(
     ex2p1sq = float(law.moment(4) + 2 * law.moment(2) + 1)
     p1 = m4 * ex2p1sq + (m4 + 1.0) ** 2
     q4 = float(moment_exact(spec, 4, cap))
-    if tau is None:
-        tau = float(max(influence(f), default=Fraction(0)))
+    tau = float(max(influence(f), default=Fraction(0)))
     excess = max(q4 - 3.0, 0.0)
     first = math.sqrt(p1 * excess + 4.0 * (m4 + 1.0) * tau) / (2.0 * math.sqrt(2.0 * math.pi))
     second = 4.0 * rosenthal_c3 * abs_third_moment**2 * math.sqrt(tau) / 3.0

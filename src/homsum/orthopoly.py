@@ -24,6 +24,13 @@ Poly = tuple[Fraction, ...]
 
 EXPECTATION_GUARD = 10**7
 MONOMIAL_GUARD = 2 * 10**6
+# roots closer than this are not simple; imaginary parts below it are real nodes
+ROOT_TOL = 1e-8
+# relative exactness residual allowed in a Gauss rule, and the relative
+# imaginary part below which a quadrature discriminant moment is real
+QUADRATURE_TOL = 1e-9
+# a Sylvester decomposition is consistent when its residual is at most this
+SYLVESTER_RESIDUAL_TOL = 1e-6
 
 
 class OrthopolyError(ValueError):
@@ -216,7 +223,7 @@ def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
     return p
 
 
-def gops_expectation(F: MomentFunctional, n: int, m: int, guard: int = EXPECTATION_GUARD) -> Poly:
+def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
     """The same polynomial through the conditional-expectation form
     E_0[Delta(X_1..X_{n-m+1}) Delta(x_0, X_1..X_n)], expanded over
     permutations and factorized by independence.
@@ -226,7 +233,7 @@ def gops_expectation(F: MomentFunctional, n: int, m: int, guard: int = EXPECTATI
     if not (1 <= m <= n):
         raise OrthopolyError("need 1 <= m <= n")
     r = n - m + 1
-    if math.factorial(r) * math.factorial(n + 1) > guard:
+    if math.factorial(r) * math.factorial(n + 1) > EXPECTATION_GUARD:
         raise OrthopolyError("permutation expansion exceeds the feasibility guard")
 
     def group_of(j: int) -> int:
@@ -466,9 +473,9 @@ def multi_orthogonality_check(
 # roots and quadrature
 
 
-def poly_roots(p: Sequence[Fraction], tol: float = 1e-8) -> dict:
+def poly_roots(p: Sequence[Fraction]) -> dict:
     """Roots via the (balanced) companion matrix, ordered by (Re, Im);
-    simplicity means pairwise distance > tol."""
+    simplicity means pairwise distance > ROOT_TOL."""
     p = poly_trim(p)
     if poly_deg(p) < 1:
         raise OrthopolyError("degree must be >= 1")
@@ -476,9 +483,9 @@ def poly_roots(p: Sequence[Fraction], tol: float = 1e-8) -> dict:
     roots = np.roots(arr)
     roots = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
     simple = all(
-        abs(a - b) > tol for a, b in itertools.combinations(roots, 2)
+        abs(a - b) > ROOT_TOL for a, b in itertools.combinations(roots, 2)
     )
-    return {"roots": tuple(roots), "all_simple": simple, "tol": tol}
+    return {"roots": tuple(roots), "all_simple": simple, "tol": ROOT_TOL}
 
 
 @dataclass(frozen=True)
@@ -494,24 +501,24 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def quadrature_rule(
-    F: MomentFunctional,
-    n: int,
-    tol: float = 1e-9,
-    root_tol: float = 1e-8,
-) -> QuadratureRule:
-    """Gauss rule with n nodes: nodes are the roots of the degree-n monic
-    orthogonal polynomial, weights solve the first n Vandermonde moment
-    equations, and exactness is verified through degree 2n - 1."""
-    rec = recurrence_coeffs(F, n)
-    pn = rec["polys"][n]
-    rt = poly_roots(pn, root_tol)
+def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ...], np.ndarray]:
+    """Roots of the degree-n monic orthogonal polynomial and the weights that
+    solve the first n Vandermonde moment equations on them."""
+    pn = recurrence_coeffs(F, n)["polys"][n]
+    rt = poly_roots(pn)
     if not rt["all_simple"]:
         raise DegenerateError("p_n has (numerically) multiple roots; no Gauss rule")
     nodes = rt["roots"]
     V = np.array([[node**k for node in nodes] for k in range(n)], dtype=complex)
     b = np.array([float(F.moment(0, k)) for k in range(n)], dtype=complex)
-    weights = np.linalg.solve(V, b)
+    return nodes, np.linalg.solve(V, b)
+
+
+def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) -> QuadratureRule:
+    """Gauss rule with n nodes: nodes are the roots of the degree-n monic
+    orthogonal polynomial, weights solve the first n Vandermonde moment
+    equations, and exactness is verified through degree 2n - 1."""
+    nodes, weights = _gauss_nodes_weights(F, n)
     max_resid = 0.0
     for k in range(2 * n):
         got = sum(w * node**k for w, node in zip(weights, nodes))
@@ -522,7 +529,7 @@ def quadrature_rule(
         raise OrthopolyError(
             f"quadrature exactness residual {max_resid:.3e} exceeds tolerance {tol:.1e}"
         )
-    kind = "real-simple" if all(abs(z.imag) < root_tol for z in nodes) else "complex"
+    kind = "real-simple" if all(abs(z.imag) < ROOT_TOL for z in nodes) else "complex"
     if kind == "real-simple":
         nodes = tuple(complex(z.real, 0.0) for z in nodes)
         weights = np.real(weights).astype(complex)
@@ -569,7 +576,7 @@ def _vandermonde_callable(N: int, power: int) -> Callable[..., complex]:
 MultiPoly = dict[tuple[int, ...], Fraction]
 
 
-def _mp_mul(a: MultiPoly, b: MultiPoly, guard: int = MONOMIAL_GUARD) -> MultiPoly:
+def _mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     out: MultiPoly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -579,7 +586,7 @@ def _mp_mul(a: MultiPoly, b: MultiPoly, guard: int = MONOMIAL_GUARD) -> MultiPol
                 out[key] = v
             else:
                 out.pop(key, None)
-        if len(out) > guard:
+        if len(out) > MONOMIAL_GUARD:
             raise OrthopolyError("monomial expansion exceeds the feasibility guard")
     return out
 
@@ -608,7 +615,6 @@ def discriminant_moment(
     k: int,
     method: str = "expansion",
     sigma2=None,
-    tol: float = 1e-9,
 ):
     """E[Delta(X_1, ..., X_N)^(2k)] for an i.i.d. sample of the main law.
 
@@ -634,9 +640,9 @@ def discriminant_moment(
         return total
     if method == "quadrature":
         n = k * (N - 1) + 1
-        rule = quadrature_rule(F, n, tol=tol)
+        rule = quadrature_rule(F, n)
         val = quadrature_apply(rule, _vandermonde_callable(N, 2 * k), N, 2 * k * (N - 1))
-        return val.real if abs(val.imag) < max(tol, 1e-9) * max(1.0, abs(val)) else val
+        return val.real if abs(val.imag) < QUADRATURE_TOL * max(1.0, abs(val)) else val
     if method == "lu_gaussian":
         s2 = Fraction(sigma2) if sigma2 is not None else F.moment(0, 2)
         # sigma^{N(N-1)k} with N(N-1) even, so an integer power of sigma^2
@@ -717,8 +723,6 @@ def sylvester_decompose(
     n: int,
     k: int = 1,
     mode: str = "discriminant",
-    tol: float = 1e-8,
-    residual_tol: float = 1e-6,
 ) -> SylvesterDecomposition:
     """Sylvester-style decompositions attached to the main law.
 
@@ -734,15 +738,7 @@ def sylvester_decompose(
     """
     if mode == "appel":
         m = 2 * n - 1
-        rec = recurrence_coeffs(F, n)
-        pn = rec["polys"][n]
-        rt = poly_roots(pn, tol)
-        if not rt["all_simple"]:
-            raise DegenerateError("orthogonal polynomial has multiple roots")
-        nodes = rt["roots"]
-        V = np.array([[node**p for node in nodes] for p in range(n)], dtype=complex)
-        rhs = np.array([float(F.moment(0, p)) for p in range(n)], dtype=complex)
-        weights = np.linalg.solve(V, rhs)
+        nodes, weights = _gauss_nodes_weights(F, n)
         a_poly = translated_moment_poly(F, m)
         # residual: worst coefficient error of A_{2n-1}(x) - sum c_j (r_j - x)^{2n-1}
         resid = 0.0
@@ -756,7 +752,7 @@ def sylvester_decompose(
         wsum = complex(sum(weights))
         return SylvesterDecomposition(
             "appel", m, a_poly, tuple(nodes), tuple(complex(w) for w in weights),
-            wsum, Fraction(1), resid, resid <= residual_tol,
+            wsum, Fraction(1), resid, resid <= SYLVESTER_RESIDUAL_TOL,
         )
 
     if mode != "discriminant":
@@ -764,7 +760,7 @@ def sylvester_decompose(
     m = n * (2 * k - 1)
     pnk = discriminant_product_poly(F, n, k)
     a_m = translated_moment_poly(F, m)
-    rt = poly_roots(a_m, tol)
+    rt = poly_roots(a_m)
     if not rt["all_simple"]:
         raise DegenerateError("A_m has (numerically) multiple roots")
     nodes = rt["roots"]
@@ -782,5 +778,5 @@ def sylvester_decompose(
     wsum = complex(sum(weights))
     return SylvesterDecomposition(
         "discriminant", m, pnk, tuple(nodes), tuple(complex(w) for w in weights),
-        wsum, target, residual, residual <= residual_tol,
+        wsum, target, residual, residual <= SYLVESTER_RESIDUAL_TOL,
     )

@@ -201,7 +201,6 @@ class PartitionFilter:
     noncrossing: bool = False
     allowed_block_sizes: Optional[frozenset[int]] = None
     min_block_size: int = 1
-    max_block_size: Optional[int] = None
     respects: Optional[SetPartition] = None
     partition_class: Optional[tuple[int, ...]] = None
 
@@ -214,11 +213,10 @@ class PartitionFilter:
             )
 
     def _size_bounds(self) -> tuple[int, Optional[int]]:
-        lo, hi = self.min_block_size, self.max_block_size
+        lo, hi = self.min_block_size, None
         if self.allowed_block_sizes:
             lo = max(lo, min(self.allowed_block_sizes))
-            amax = max(self.allowed_block_sizes)
-            hi = amax if hi is None else min(hi, amax)
+            hi = max(self.allowed_block_sizes)
         if self.partition_class:
             lo = max(lo, min(self.partition_class))
             cmax = max(self.partition_class)

@@ -22,6 +22,10 @@ from .laws import LawSpec, builtin_law
 from .moments import FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
 
 _SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered", "discrete")
+# invariance_decay_experiment computes a moment gap exactly up to this many positions
+EXACT_CAP_POSITIONS = 12
+# variations_cumulant_check splits its paths into this many groups for the standard error
+CUMULANT_GROUPS = 50
 
 
 def _stream(seed: int, task: int = 0) -> np.random.Generator:
@@ -46,9 +50,14 @@ class Sampler:
     def __post_init__(self):
         if self.law not in _SAMPLER_LAWS:
             raise ValueError(f"unknown sampler law {self.law!r}; known: {_SAMPLER_LAWS}")
+        if self.law == "discrete" and not {"values", "probs"} <= self.params.keys():
+            raise ValueError("the discrete sampler needs params 'values' and 'probs'")
 
     def draw(self, shape, task: int = 0) -> np.ndarray:
-        rng = _stream(self.seed, task)
+        return self.draw_from(_stream(self.seed, task), shape)
+
+    def draw_from(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Draws from a caller's generator; ``seed`` plays no part."""
         if self.law == "gaussian":
             sigma = math.sqrt(float(self.params.get("sigma2", 1.0)))
             return sigma * rng.standard_normal(shape)
@@ -147,7 +156,6 @@ def invariance_decay_experiment(
     sizes: Sequence[int],
     moments_to_track: Sequence[int] = (2, 3, 4),
     trials: int = 20_000,
-    exact_cap_positions: int = 12,
 ) -> list[dict]:
     """Trajectory of moment gaps and empirical W1 along a kernel family.
 
@@ -184,7 +192,7 @@ def invariance_decay_experiment(
             if fe.mode == "exact" and m == 4 and fe.d == 2 and fe.is_symmetric:
                 gap = c**4 * abs(float(quadratic_fourth_moment_gap(fe, law_a, law_b)))
                 exact = True
-            elif fe.mode == "exact" and fe.d * m <= exact_cap_positions and work <= 300_000:
+            elif fe.mode == "exact" and fe.d * m <= EXACT_CAP_POSITIONS and work <= 300_000:
                 try:
                     ga = moment_exact(SumSpec(fe, law_a), m)
                     gb = moment_exact(SumSpec(fe, law_b), m)
@@ -277,6 +285,8 @@ def kstat_experiment(
     T/N; the statistic is sum_i Phi(A_iN)^n per path, reported with its
     standard error against the exact target cumulant.
     """
+    if paths < 2 or refinement < 1:
+        raise ValueError("need paths >= 2 and refinement >= 1")
     cell_measure = horizon / refinement
     stats = np.empty(paths)
     for p in range(paths):
@@ -284,7 +294,7 @@ def kstat_experiment(
         cells = np.array([cell_sampler(cell_measure, rng) for _ in range(refinement)])
         stats[p] = float(np.sum(cells**n))
     est = float(np.mean(stats))
-    se = float(np.std(stats, ddof=1) / math.sqrt(paths)) if paths > 1 else float("inf")
+    se = float(np.std(stats, ddof=1) / math.sqrt(paths))
     z = (est - target_cumulant) / se if se > 0 else 0.0
     return {
         "estimate": est,
@@ -319,7 +329,6 @@ def variations_cumulant_check(
     orders: Sequence[int],
     paths: int,
     seed: int,
-    groups: int = 50,
 ) -> dict:
     """Empirical joint cumulant of the variations (X_T^{(c_1)}, ..., X_T^{(c_k)})
     against chi_{sum c}(X_T).
@@ -338,6 +347,9 @@ def variations_cumulant_check(
         target = sigma2 * horizon + horizon * lam * float(jump_law.moment(2))
     else:
         target = horizon * lam * float(jump_law.moment(1))
+    group_size = max(paths // CUMULANT_GROUPS, 2)
+    if paths < 2 * group_size:
+        raise ValueError(f"{paths} paths form fewer than 2 groups, so no standard error; need paths >= 4")
     V = np.empty((paths, k))
     for p in range(paths):
         path = compound_poisson_path(lam, jump_sampler, sigma2, horizon, seed, task=p)
@@ -356,7 +368,6 @@ def variations_cumulant_check(
             est += term
         return est
 
-    group_size = max(paths // groups, 2)
     estimates = []
     for g in range(0, paths - group_size + 1, group_size):
         estimates.append(plugin_cumulant(V[g: g + group_size]))

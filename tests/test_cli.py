@@ -1,8 +1,10 @@
 import json
-import os
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsum.cli import build_parser, run
 from homsum.kernels import build_kernel, kernel_to_json
@@ -200,6 +202,12 @@ def test_simulation_subcommands(tmp_path):
         tmp_path,
     )
     assert code == 0 and payload["result"]["within_5se"] is True
+    code, payload = run_json(
+        ["kstat", "--measure", "compound_poisson", "--order", "3", "--paths", "500",
+         "--refinement", "50", "--seed", "7"],
+        tmp_path,
+    )
+    assert code == 0 and payload["result"]["within_5se"] is True
 
 
 def test_exit_codes(tmp_path, half_kernel_path, capsys):
@@ -262,6 +270,32 @@ def test_text_format_alignment(tmp_path):
         assert row[start - 2: start] == "  "
 
 
+# the option groups each subcommand takes besides --format and --output
+# (--mode is given with the values it accepts)
+EITHER_MODE = {"--mode": ["exact", "float"]}
+EXACT_ENGINE = {"--mode": ["exact"], "--cap": None}
+SUBCOMMAND_OPTIONS = {
+    "partitions": {"--cap": None},
+    "kernel-validate": EITHER_MODE,
+    "contract": EITHER_MODE,
+    "influence": EITHER_MODE,
+    "moment": EXACT_ENGINE,
+    "fourth-moment": EXACT_ENGINE,
+    "fmt-check": {**EXACT_ENGINE, "--tol": None},
+    "noncentral-check": EXACT_ENGINE,
+    "joint-moment": EXACT_ENGINE,
+    "stein-bound": EXACT_ENGINE,
+    "gops": {},
+    "recurrence": {},
+    "quadrature": {"--tol-float": None},
+    "discriminant": {},
+    "sylvester": {},
+    "simulate-invariance": {"--seed": None},
+    "simulate-levy": {"--seed": None},
+    "kstat": {"--seed": None},
+}
+
+
 def test_help_lists_flags():
     parser = build_parser()
     sub = None
@@ -269,6 +303,7 @@ def test_help_lists_flags():
         if hasattr(action, "choices") and isinstance(action.choices, dict):
             sub = action.choices
     assert sub is not None
+    assert set(sub) == set(SUBCOMMAND_OPTIONS)
     expected = {
         "partitions": ["--n", "--pairings", "--noncrossing", "--respects"],
         "moment": ["--kernel", "--law", "--order", "--with-oracle"],
@@ -280,8 +315,121 @@ def test_help_lists_flags():
         "kstat": ["--measure", "--refinement"],
         "stein-bound": ["--abs-third-moment", "--rosenthal"],
     }
-    for name, flags in expected.items():
-        text = sub[name].format_help()
-        for flag in flags + ["--mode", "--seed", "--format", "--output", "--cap"]:
+    for name, options in SUBCOMMAND_OPTIONS.items():
+        p = sub[name]
+        text = p.format_help()
+        for flag in expected.get(name, []) + ["--format", "--output", *options]:
             assert flag in text, (name, flag)
+        for flag in {"--mode", "--seed", "--cap", "--tol", "--tol-float"} - set(options):
+            assert flag not in p._option_string_actions, (name, flag)
+        if "--mode" in options:
+            assert p._option_string_actions["--mode"].choices == options["--mode"], name
         assert "default" in text  # defaults are documented
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--kernel", "k.json", "--law", "gaussian", "--order", "4", "--mode", "float"],
+    ["gops", "--law", "gaussian", "--n", "2", "--seed", "1"],
+    ["quadrature", "--law", "rademacher", "--n", "8", "--cap", "30"],
+    ["simulate-levy", "--paths", "100", "--tol", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64
+
+
+def test_short_law_file_exits_2(half_kernel_path, tmp_path):
+    # E[Q^4] needs cumulants to order 4; they were taken as 0 (value 9/1)
+    law = tmp_path / "short.json"
+    law.write_text(json.dumps({"name": "short", "kind": "classical", "moments": ["1", "0", "1"]}))
+    code, payload = run_json(
+        ["moment", "--kernel", half_kernel_path, "--law", str(law), "--order", "4"], tmp_path
+    )
+    assert code == 2 and payload["result"]["error"]["code"] == "LawError"
+
+
+MALFORMED_KERNELS = [
+    {"n": 2, "d": 2, "entries": [{"idx": [1, 2], "val": "1/0"}]},
+    {"n": 2, "d": 2, "entries": [{"idx": [1, 2], "val": None}]},
+    {"n": 2, "d": 2, "entries": [{"idx": 5, "val": "1"}]},
+    {"n": 2, "d": 2, "entries": {"idx": [1, 2], "val": "1"}},
+    [1, 2],
+]
+MALFORMED_LAWS = [
+    {"name": "x", "kind": "classical"},
+    {"name": "x", "kind": "classical", "moments": []},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_KERNELS)
+def test_malformed_kernel_file_exits_2(doc, tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(["influence", "--kernel", str(path)], tmp_path)
+    assert code == 2 and payload["result"]["error"]["code"] == "kernel-parse"
+
+
+@pytest.mark.parametrize("doc", MALFORMED_LAWS)
+def test_malformed_law_file_exits_2(doc, half_kernel_path, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(doc))
+    code, payload = run_json(
+        ["moment", "--kernel", half_kernel_path, "--law", str(path), "--order", "2"], tmp_path
+    )
+    assert code == 2 and payload["result"]["error"]["code"] == "LawError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kstat", "--refinement", "0"],
+    ["kstat", "--paths", "1"],
+    ["simulate-levy", "--paths", "1"],
+    ["kstat", "--measure", "compound_poisson", "--jumps", "discrete", "--paths", "10"],
+])
+def test_bad_monte_carlo_arguments_exit_2(argv, tmp_path):
+    code, payload = run_json(argv, tmp_path)
+    assert code == 2 and "error" in payload["result"]
+
+
+_SMALL = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-4, 6)
+          | st.sampled_from(["1/2", "1/0", "x", "", "exact", "float", math.inf, math.nan])
+          | st.text(max_size=4))
+
+
+def _containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+
+
+_JSON = st.recursive(_SMALL, _containers, max_leaves=10)
+_KERNEL_DOCS = st.fixed_dictionaries(
+    {
+        "n": st.integers(0, 4) | _SMALL,
+        "d": st.integers(-1, 3) | _SMALL,
+        "entries": st.lists(
+            st.fixed_dictionaries({"idx": st.lists(st.integers(-1, 4), max_size=3) | _JSON, "val": _JSON}),
+            max_size=4,
+        ) | _JSON,
+    },
+    optional={"mode": _SMALL, "symmetrize": _JSON},
+)
+_LAW_DOCS = st.fixed_dictionaries(
+    {"name": st.text(max_size=4) | _JSON, "kind": st.sampled_from(["classical", "free"]) | _JSON,
+     "moments": st.lists(st.sampled_from(["1", "0", "1/2", "-1", "2"]), min_size=1, max_size=6) | _JSON},
+)
+
+
+@given(doc=_JSON | _KERNEL_DOCS | _LAW_DOCS, as_law=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_input_files_never_exit_1(doc, as_law, tmp_path_factory):
+    # exit 0 (accepted), 2 (rejected with an error record) or 64 (usage), never 1
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "in.json"
+    path.write_text(json.dumps(doc))
+    kernel = work / "half.json"
+    kernel.write_text(kernel_to_json(build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])))
+    if as_law:
+        argv = ["moment", "--kernel", str(kernel), "--law", str(path), "--order", "2"]
+    else:
+        argv = ["moment", "--kernel", str(path), "--law", "gaussian", "--order", "2"]
+    code = run(argv + ["--output", str(work / "out.json")])
+    assert code in (0, 2, 64), (doc, code)

@@ -14,6 +14,7 @@ from homsum.kernels import (
     star_kernel,
 )
 from homsum.laws import (
+    LawError,
     centered_poisson,
     free_poisson_centered,
     free_rademacher,
@@ -167,6 +168,16 @@ def test_oracle_guard():
         moment_oracle(SumSpec(big, gaussian(1, 10)), 9, guard=10)
     with pytest.raises(FeasibilityError):
         moment_exact(SumSpec(big, gaussian(1, 10)), 8)  # 16 positions > cap
+
+
+def test_short_law_raises_instead_of_dropping_cumulants():
+    # E[Q^4] for Q = X1 X2 uses cumulants to order 4; past rademacher(2)'s
+    # order they were taken as 0, which gave 9 instead of 1
+    for route in (moment_exact, moment_oracle):
+        with pytest.raises(LawError):
+            route(SumSpec(HALF, rademacher(2)), 4)
+    assert moment_exact(SumSpec(HALF, rademacher(4)), 4) == 1
+    assert moment_exact(SumSpec(HALF, rademacher(2)), 2) == moment_oracle(SumSpec(HALF, rademacher(2)), 2)
 
 
 def test_wick_moment_single_index_lift():

@@ -8,6 +8,7 @@ from homsum.kernels import build_kernel, offdiag_kernel, star_kernel
 from homsum.laws import gaussian
 from homsum.moments import SumSpec, moment_exact
 from homsum.stochsim import (
+    _stream,
     JumpPath,
     Sampler,
     compound_poisson_cell_sampler,
@@ -29,6 +30,7 @@ def test_stream_determinism():
     assert np.array_equal(s.draw(64, task=3), s.draw(64, task=3))
     assert not np.array_equal(s.draw(64, task=4), s.draw(64, task=3))
     assert not np.array_equal(Sampler("gaussian", seed=43).draw(64, task=3), s.draw(64, task=3))
+    assert np.array_equal(s.draw_from(_stream(42, 3), 64), s.draw(64, task=3))
 
 
 @pytest.mark.parametrize(
@@ -231,3 +233,16 @@ def test_variations_cumulant_check():
     rad = Sampler("rademacher", seed=29)
     rep3 = variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (1, 2), paths=8_000, seed=30)
     assert rep3["target"] == 0.0 and rep3["within_5se"], rep3
+
+
+def test_monte_carlo_checks_refuse_too_little_data():
+    # a single path gave se = inf (kstat) or NaN over no groups (variations),
+    # both reported as within 5 SE
+    for refinement, paths in ((10, 1), (0, 10)):
+        with pytest.raises(ValueError):
+            kstat_experiment(gaussian_cell_sampler, 1.0, 2, refinement, paths, 1.0, seed=1)
+    rad = Sampler("rademacher", seed=29)
+    for paths in (1, 3):
+        with pytest.raises(ValueError):
+            variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (3,), paths=paths, seed=30)
+    assert variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (3,), paths=4, seed=30)["groups"] == 2
