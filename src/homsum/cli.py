@@ -118,8 +118,8 @@ def _load_kernel(path: str, mode: str) -> K.Kernel:
     try:
         with open(path) as fh:
             k = K.kernel_from_json(fh.read())
-    except FileNotFoundError:
-        raise CliValidationError("kernel-file", f"kernel file not found: {path}", "kernel")
+    except OSError as e:
+        raise CliValidationError("kernel-file", f"cannot read kernel file {path}: {e.strerror}", "kernel")
     except K.KernelError as e:
         raise CliValidationError("kernel-parse", f"bad kernel file: {e}", "kernel")
     if mode == "float" and k.mode == "exact":
@@ -147,8 +147,8 @@ def _load_law(args, max_order: int = 10) -> L.LawSpec:
         try:
             with open(name) as fh:
                 return L.law_from_json(fh.read())
-        except FileNotFoundError:
-            raise CliValidationError("law-file", f"law file not found: {name}", "law")
+        except OSError as e:
+            raise CliValidationError("law-file", f"cannot read law file {name}: {e.strerror}", "law")
     params = {k: Fraction(v) for k, v in _parse_params(getattr(args, "law_param", None)).items()}
     try:
         return L.builtin_law(name, max_order=max_order, **params)
@@ -517,15 +517,20 @@ def build_parser() -> UsageParser:
     return parser
 
 
+def _default_cap() -> int:
+    raw = os.environ.get("HOMSUM_CAP", str(DEFAULT_SIZE_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise CliValidationError("cap", f"HOMSUM_CAP must be an integer, got {raw!r}", "cap") from None
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = getattr(args, "cap", None)
-    if cap is None:
-        cap = int(os.environ.get("HOMSUM_CAP", DEFAULT_SIZE_CAP))
     config = {
         "command": args.command,
-        "cap": cap,
+        "cap": getattr(args, "cap", None),
         "mode": getattr(args, "mode", "exact"),
         "seed": getattr(args, "seed", 0),
         "format": args.format,
@@ -535,7 +540,9 @@ def run(argv=None) -> int:
         if getattr(args, key, None) is not None:
             config[key] = getattr(args, key)
     try:
-        report = HANDLERS[args.command](args, cap)
+        if config["cap"] is None:
+            config["cap"] = _default_cap()
+        report = HANDLERS[args.command](args, config["cap"])
     except CliValidationError as e:
         emit({"error": e.record}, config, "json", getattr(args, "output", None))
         return 2

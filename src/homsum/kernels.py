@@ -197,6 +197,15 @@ def validate(f: Kernel, flavor: str) -> dict:
     }
 
 
+def _entries_by_head(g: Kernel, h: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], Scalar]]]:
+    """g's entries grouped by their h leading indices: head -> [(rest, value)],
+    each list in g's own order."""
+    out: dict[tuple[int, ...], list] = {}
+    for gi, gv in g.values.items():
+        out.setdefault(gi[:h], []).append((gi[h:], gv))
+    return out
+
+
 def contraction(f: Kernel, g: Kernel, q: int) -> Kernel:
     """Contraction of order q: sums q inner indices of f against the reversed
     leading indices of g; q = 0 is the outer product."""
@@ -205,15 +214,13 @@ def contraction(f: Kernel, g: Kernel, q: int) -> Kernel:
     if not (0 <= q <= min(f.d, g.d)):
         raise KernelError(f"q={q} out of range for degrees {f.d}, {g.d}")
     out_d = f.d + g.d - 2 * q
+    by_head = _entries_by_head(g, q)
     acc: dict[tuple[int, ...], Scalar] = {}
     zero = f._zero
     for fi, fv in f.values.items():
-        t, inner = fi[: f.d - q], fi[f.d - q:]
-        rev = inner[::-1]
-        for gi, gv in g.values.items():
-            if gi[:q] != rev:
-                continue
-            key = t + gi[q:]
+        t = fi[: f.d - q]
+        for tail, gv in by_head.get(fi[f.d - q:][::-1], ()):
+            key = t + tail
             acc[key] = acc.get(key, zero) + fv * gv
     acc = {k: v for k, v in acc.items() if v}
     return Kernel(f.n, out_d, acc, f.mode)
@@ -227,15 +234,14 @@ def star_contraction(f: Kernel, g: Kernel, r: int) -> Kernel:
     if not (1 <= r <= min(f.d, g.d)):
         raise KernelError(f"r={r} out of range for degrees {f.d}, {g.d}")
     out_d = f.d + g.d - 2 * r + 1
+    by_head = _entries_by_head(g, r)
     acc: dict[tuple[int, ...], Scalar] = {}
     zero = f._zero
     for fi, fv in f.values.items():
-        t, gamma, inner = fi[: f.d - r], fi[f.d - r], fi[f.d - r + 1:]
-        rev = inner[::-1]
-        for gi, gv in g.values.items():
-            if gi[: r - 1] != rev or gi[r - 1] != gamma:
-                continue
-            key = t + (gamma,) + gi[r:]
+        t, gamma = fi[: f.d - r], fi[f.d - r]
+        # g's r leading indices: the reversed summed ones, then gamma
+        for tail, gv in by_head.get(fi[f.d - r + 1:][::-1] + (gamma,), ()):
+            key = t + (gamma,) + tail
             acc[key] = acc.get(key, zero) + fv * gv
     acc = {k: v for k, v in acc.items() if v}
     return Kernel(f.n, out_d, acc, f.mode)

@@ -11,12 +11,22 @@ Two independent routes compute every moment:
 
 One primitive, :func:`_block_sum`, evaluates the index sum of a single
 lattice partition: over every map from its blocks to [n], the product of the
-factors' kernel entries times optional per-block weights.  Its three callers
-are :func:`joint_moment` (weights: each index's cumulant of the block's
-size), the class terms of :func:`fourth_moment_formula` and the pairings of
+factors' kernel entries times per-block weights.  Its three callers are
+:func:`joint_moment` (weights: each index's cumulant of the block's size),
+the class terms of :func:`fourth_moment_formula` and the pairings of
 :func:`wick_moment` (unit weights).  The oracle never uses it.
 
-Both routes are exact rational end to end.
+The primitive works on integers.  Once per call, each caller scales every
+kernel and every cumulant row to integers over its own common denominator
+(:func:`_integer_scaled`).  A partition's integer sum is over the product
+of its factors' and blocks' denominators; the caller adds up the sums that
+share a denominator and divides each total back out with one Fraction.  The
+primitive assigns blocks depth first and multiplies in each entry as soon as
+its factor's last block is set, so a zero entry or weight cuts off the whole
+subtree below it.
+
+Both routes are exact rational end to end; the oracle stays on plain
+Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
 from .kernels import LiftedKernel
@@ -132,44 +142,82 @@ def _factor_layout(degrees: Sequence[int]) -> SetPartition:
     return SetPartition(p - 1, tuple(blocks))
 
 
-def _block_sum(
-    factors: Sequence[Kernel],
-    blocks: Sequence[Sequence[int]],
-    n: int,
-    weights: Optional[Sequence[Sequence[Fraction]]] = None,
-) -> Fraction:
-    """The lattice index sum of one partition of the positions.
+def _integer_scaled(values: Mapping) -> tuple[dict, int]:
+    """The values of a map over their least common denominator:
+    (the integer numerators, that denominator)."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
-    Positions 1..D are laid out factor by factor and ``blocks`` partitions
-    them.  Sums, over every map a from blocks to [n], the product of each
-    factor's kernel entry at the indices a puts on its positions, times
-    ``weights[b][a(b) - 1]`` for every block b (unit weights when None).
+
+def _block_sum(
+    tables: Sequence[Mapping[tuple[int, ...], int]],
+    degrees: Sequence[int],
+    blocks: Sequence[Sequence[int]],
+    choices: Sequence[Sequence[tuple[int, int]]],
+) -> int:
+    """The lattice index sum of one partition of the positions, in integers.
+
+    Positions 1..D are laid out factor by factor (factor j holds
+    ``degrees[j] >= 1`` of them) and ``blocks`` partitions them.  Block b may
+    take the indices i of the pairs (i, w) in ``choices[b]``, with weight w.
+    Sums, over every such map a from blocks to indices, the product of the
+    weights times each factor's entry in ``tables`` at the indices a puts on
+    its positions.
+
+    Blocks are assigned depth first in the given order; with blocks ordered
+    by their least position, the first factor's blocks come first.  A block's
+    weight is multiplied in when the block is assigned, and a factor's entry
+    as soon as its last block is, so a missing entry cuts off the whole
+    subtree below it.  Zero weights are simply left out of ``choices``.
     """
     block_of = {}
     for bi, b in enumerate(blocks):
         for p in b:
             block_of[p] = bi
-    layout = []
+    # due[k]: the factors whose last block is k, each as (table, the blocks
+    # on its positions before k, the blocks after k); k is keyed in between
+    due: list[list] = [[] for _ in blocks]
     p = 1
-    for k in factors:
-        layout.append((k.values, tuple(block_of[q] for q in range(p, p + k.d))))
-        p += k.d
-    total = Fraction(0)
-    for assign in itertools.product(range(1, n + 1), repeat=len(blocks)):
-        coeff = Fraction(1)
-        for values, slots in layout:
-            v = values.get(tuple([assign[b] for b in slots]))
-            if not v:
-                break
-            coeff *= v
-        else:
-            if weights is not None:
-                for row, i in zip(weights, assign):
-                    coeff *= row[i - 1]
-                    if coeff == 0:
-                        break
-            total += coeff
-    return total
+    for table, d in zip(tables, degrees):
+        slots = [block_of[q] for q in range(p, p + d)]
+        p += d
+        k = max(slots)
+        j = slots.index(k)
+        if slots.count(k) > 1:
+            # block k recurs in this factor: keep the entries constant on its
+            # positions, keyed by the first of them only
+            again = [x for x in range(j + 1, d) if slots[x] == k]
+            table = {
+                tuple(key[x] for x in range(d) if x not in again): v
+                for key, v in table.items()
+                if all(key[x] == key[j] for x in again)
+            }
+            slots = [slots[x] for x in range(d) if x not in again]
+        due[k].append((table, slots[:j], slots[j + 1:]))
+    last = len(blocks) - 1
+    assign = [0] * len(blocks)
+
+    def subtree(k: int) -> int:
+        total = 0
+        lookups = [
+            (table, tuple([assign[s] for s in head]), tuple([assign[s] for s in tail]))
+            for table, head, tail in due[k]
+        ]
+        for i, w in choices[k]:
+            for table, head, tail in lookups:
+                v = table.get(head + (i,) + tail)
+                if not v:
+                    break
+                w *= v
+            else:
+                if k == last:
+                    total += w
+                else:
+                    assign[k] = i
+                    total += w * subtree(k + 1)
+        return total
+
+    return subtree(0)
 
 
 def joint_moment(
@@ -216,16 +264,28 @@ def joint_moment(
         return Fraction(0)
 
     # a respectful block holds at most one position of each factor
-    active = [kernels[s] for s in word if kernels[s].d > 0]
+    active = [s for s in word if kernels[s].d > 0]
     sizes = _cumulant_support(laws, len(active))
     if not sizes:
         return Fraction(0)
+    scaled = {s: _integer_scaled(kernels[s].values) for s in set(active)}
+    tables = [scaled[s][0] for s in active]
+    active_degrees = tuple(kernels[s].d for s in active)
+    factor_den = math.prod(scaled[s][1] for s in active)
     index_laws = laws * n if len(laws) == 1 else laws
-    rows = {size: tuple(l.cumulant(size) for l in index_laws) for size in sizes}
-    total = Fraction(0)
-    for blocks in _respectful_blocks(tuple(k.d for k in active), kind == "free", sizes, cap):
-        total += _block_sum(active, blocks, n, [rows[len(b)] for b in blocks])
-    return scalar * total
+    rows = {}
+    for size in sizes:
+        row, den = _integer_scaled({i: l.cumulant(size) for i, l in enumerate(index_laws, 1)})
+        rows[size] = ([(i, w) for i, w in row.items() if w], den)
+    # integer sums keyed by their denominator, which only the block sizes set
+    sums: dict[int, int] = {}
+    for blocks in _respectful_blocks(active_degrees, kind == "free", sizes, cap):
+        den = factor_den
+        for b in blocks:
+            den *= rows[len(b)][1]
+        part = _block_sum(tables, active_degrees, blocks, [rows[len(b)][0] for b in blocks])
+        sums[den] = sums.get(den, 0) + part
+    return scalar * sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
 def moment_exact(spec: SumSpec, m: int, cap: int = DEFAULT_SIZE_CAP) -> Fraction:
@@ -354,11 +414,14 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
         allowed_block_sizes=frozenset({2}),
         respects=star,
     )
-    total = Fraction(0)
+    table, den = _integer_scaled(f.values)
+    units = [(i, 1) for i in range(1, f.n + 1)]
+    total = 0
     for sigma in enumerate_partitions(D, filt, cap):
         links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in sigma.blocks)
-        total += _block_sum((f,) * m, _union_classes(m * f.d, links), f.n)
-    return total
+        classes = _union_classes(m * f.d, links)
+        total += _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
+    return Fraction(total, den**m)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +482,8 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         raise AssumptionError("classical decomposition assumes E[X^3] = 0")
     chi4 = law.cumulant(4)
     base = _standard_fourth(f, "classical", cap)
+    table, den = _integer_scaled(f.values)
+    units = [(i, 1) for i in range(1, f.n + 1)]
     class_terms: list[Fraction] = []
     class_counts: list[int] = []
     for m in range(1, d + 1):
@@ -426,7 +491,8 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         respectful = _respectful_blocks(
             (d, d, d, d), False, frozenset({2, 4}), cap, census
         )
-        class_terms.append(sum((_block_sum((f,) * 4, b, f.n) for b in respectful), Fraction(0)))
+        term = sum(_block_sum((table,) * 4, (d,) * 4, b, [units] * len(b)) for b in respectful)
+        class_terms.append(Fraction(term, den**4))
         class_counts.append(len(respectful))
 
     closed_form_terms: list[Fraction] = []

@@ -257,6 +257,26 @@ def test_cap_env_override(tmp_path, half_kernel_path, monkeypatch):
     assert code == 0
 
 
+def test_non_integer_cap_env_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMSUM_CAP", "abc")
+    code, payload = run_json(["partitions", "--n", "3"], tmp_path)
+    assert code == 2 and payload["result"]["error"]["code"] == "cap"
+    # an explicit --cap does not read the variable
+    code, _ = run_json(["partitions", "--n", "3", "--cap", "8"], tmp_path)
+    assert code == 0
+
+
+def test_unreadable_input_paths_exit_2(tmp_path, half_kernel_path):
+    somedir = tmp_path / "somedir"
+    somedir.mkdir()
+    code, payload = run_json(["influence", "--kernel", str(somedir)], tmp_path)
+    assert code == 2 and payload["result"]["error"]["code"] == "kernel-file"
+    code, payload = run_json(
+        ["moment", "--kernel", half_kernel_path, "--law", str(somedir), "--order", "2"], tmp_path
+    )
+    assert code == 2 and payload["result"]["error"]["code"] == "law-file"
+
+
 def test_text_format_alignment(tmp_path):
     out = tmp_path / "table.txt"
     code = run(["partitions", "--n", "4", "--pairings", "--format", "text",

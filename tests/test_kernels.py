@@ -148,6 +148,46 @@ def test_contraction_full_order_is_norm():
         assert full(()) == f.norm_sq()
 
 
+def _naive_contraction(f, g, q):
+    acc: dict = {}
+    for fi, fv in f.values.items():
+        for gi, gv in g.values.items():
+            if gi[:q] == fi[f.d - q:][::-1]:
+                key = fi[: f.d - q] + gi[q:]
+                acc[key] = acc.get(key, f._zero) + fv * gv
+    return {k: v for k, v in acc.items() if v}
+
+
+def _naive_star_contraction(f, g, r):
+    acc: dict = {}
+    for fi, fv in f.values.items():
+        gamma = fi[f.d - r]
+        for gi, gv in g.values.items():
+            if gi[: r - 1] == fi[f.d - r + 1:][::-1] and gi[r - 1] == gamma:
+                key = fi[: f.d - r] + (gamma,) + gi[r:]
+                acc[key] = acc.get(key, f._zero) + fv * gv
+    return {k: v for k, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_contractions_match_the_naive_double_loop(mode):
+    import random
+
+    rnd = random.Random(7)
+    for n, df, dg in [(4, 1, 2), (4, 2, 2), (5, 2, 3), (4, 3, 3), (6, 3, 2)]:
+        f, g = rational_kernel(n, df, rnd, density=0.7), rational_kernel(n, dg, rnd, density=0.7)
+        if mode == "float":
+            # non-dyadic values, so that the order of summation shows in the bits
+            f = Kernel(n, df, {k: rnd.uniform(-1, 1) for k in f.values}, "float")
+            g = Kernel(n, dg, {k: rnd.uniform(-1, 1) for k in g.values}, "float")
+        for q in range(min(df, dg) + 1):
+            got = contraction(f, g, q).values
+            assert list(got.items()) == list(_naive_contraction(f, g, q).items())
+        for r in range(1, min(df, dg) + 1):
+            got = star_contraction(f, g, r).values
+            assert list(got.items()) == list(_naive_star_contraction(f, g, r).items())
+
+
 def test_star_contraction_identities():
     f = offdiag_kernel(5)
     fc = contraction(f, f, 1)

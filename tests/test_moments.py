@@ -27,6 +27,7 @@ from homsum.moments import (
     AssumptionError,
     FeasibilityError,
     SumSpec,
+    _block_sum,
     fmt_report,
     fourth_moment_formula,
     hypercontractivity_bound,
@@ -113,11 +114,14 @@ def test_oracle_equivalence_property_random_kernels():
     from hypothesis import strategies as st
 
     # per-index law lists of both kinds, among them same-name laws with
-    # different parameters
+    # different parameters; parameters with denominators other than 1 give
+    # cumulants with different denominators, which the lattice route scales
+    # to integers and back
     families = ((gaussian, centered_poisson), (semicircle, free_poisson_centered))
+    params = (1, 2, 5, F(1, 2), F(2, 3))
 
     @given(st.randoms(use_true_random=False), st.integers(min_value=2, max_value=3),
-           st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3))
+           st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=4))
     @settings(max_examples=25, deadline=None)
     def check(rnd, n, d, m):
         entries = []
@@ -129,14 +133,14 @@ def test_oracle_equivalence_property_random_kernels():
         k = build_kernel(n, d, entries)
         if not k.values:
             return
-        for law in (gaussian(1, 10), centered_poisson(1, 10), semicircle(1, 10),
-                    free_poisson_centered(1, 10)):
-            spec = SumSpec(k, law)
-            assert moment_exact(spec, m) == moment_oracle(spec, m)
         for ctors in families:
+            for ctor in ctors:
+                for p in (1, F(1, 2), F(2, 3)):
+                    spec = SumSpec(k, ctor(p, 10))
+                    assert moment_exact(spec, m) == moment_oracle(spec, m)
             same_name = rnd.choice(ctors)
-            for laws in ([same_name(p, 10) for p in rnd.sample((1, 2, 5), n)],
-                         [rnd.choice(ctors)(rnd.choice((1, 2)), 10) for _ in range(n)]):
+            for laws in ([same_name(p, 10) for p in rnd.sample(params, n)],
+                         [rnd.choice(ctors)(rnd.choice(params), 10) for _ in range(n)]):
                 spec = SumSpec(k, laws)
                 assert moment_exact(spec, m) == moment_oracle(spec, m)
 
@@ -178,6 +182,38 @@ def test_short_law_raises_instead_of_dropping_cumulants():
             route(SumSpec(HALF, rademacher(2)), 4)
     assert moment_exact(SumSpec(HALF, rademacher(4)), 4) == 1
     assert moment_exact(SumSpec(HALF, rademacher(2)), 2) == moment_oracle(SumSpec(HALF, rademacher(2)), 2)
+
+
+def test_block_sum_matches_plain_enumeration():
+    # any partition of the positions, so that a block may hold several
+    # positions of one factor (also its last), and tables that do not vanish
+    # on diagonals
+    rnd = random.Random(3)
+    for _ in range(300):
+        n = rnd.randint(1, 3)
+        degrees = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
+        tables = [
+            {idx: rnd.randint(-3, 3) for idx in itertools.product(range(1, n + 1), repeat=d)
+             if rnd.random() < 0.7}
+            for d in degrees
+        ]
+        labels: list[int] = []
+        for _ in range(sum(degrees)):
+            labels.append(rnd.randint(0, max(labels, default=-1) + 1))
+        blocks = [[p + 1 for p, c in enumerate(labels) if c == b] for b in range(max(labels) + 1)]
+        choices = [[(i, rnd.randint(-2, 3)) for i in range(1, n + 1) if rnd.random() < 0.8]
+                   for _ in blocks]
+        choices = [[(i, w) for i, w in row if w] for row in choices]
+        expected = 0
+        for picks in itertools.product(*choices):
+            index_at = {p: i for b, (i, _) in zip(blocks, picks) for p in b}
+            term = math.prod(w for _, w in picks)
+            p = 1
+            for table, d in zip(tables, degrees):
+                term *= table.get(tuple(index_at[q] for q in range(p, p + d)), 0)
+                p += d
+            expected += term
+        assert _block_sum(tables, degrees, blocks, choices) == expected
 
 
 def test_wick_moment_single_index_lift():
