@@ -400,6 +400,8 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
         raise ValueError("exact moments require exact-mode kernels")
     M = lk.total_degree
     D = m * M
+    if D == 0:
+        return f(()) ** m
     if D % 2 == 1:
         return Fraction(0)
     if D > cap:

@@ -5,6 +5,13 @@ diagonal-measure / kappa-statistic experiments.
 Every stream is a counter-based Philox generator keyed by (seed, task id), so
 parallel and serial runs agree bit for bit; statistical acceptance is always
 at the five-standard-error level with sample sizes recorded.
+
+Within a stream the loops draw a whole path or row per numpy call: a
+kappa-statistic cell sampler is ``cells(measure, rng, count) -> ndarray``,
+the ``count`` cell values of one path in cell order, and ``sample_homsum``
+multiplies whole columns of draws.  Each draws the same numbers, in the same
+order, as one scalar call per cell or entry would, so every seeded output is
+unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from statistics import NormalDist
 from typing import Callable, Sequence
 
@@ -20,6 +28,7 @@ import numpy as np
 from .kernels import Kernel, influence
 from .laws import LawSpec, builtin_law
 from .moments import FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
+from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 
 _SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered", "discrete")
 # invariance_decay_experiment computes a moment gap exactly up to this many positions
@@ -69,9 +78,15 @@ class Sampler:
         if self.law == "uniform_centered":
             r = math.sqrt(3.0)
             return rng.uniform(-r, r, size=shape)
+        values, probs = self._discrete
+        return rng.choice(values, size=shape, p=probs)
+
+    @cached_property
+    def _discrete(self) -> tuple[np.ndarray, np.ndarray]:
+        """The discrete law's values and probabilities as floats, parsed once."""
         values = np.asarray([float(Fraction(str(v))) for v in self.params["values"]])
         probs = np.asarray([float(Fraction(str(p))) for p in self.params["probs"]])
-        return rng.choice(values, size=shape, p=probs)
+        return values, probs
 
     def law_spec(self, max_order: int = 10) -> LawSpec:
         """Exact moment sequence matching the sampled law."""
@@ -110,15 +125,21 @@ class Sampler:
 
 
 def sample_homsum(f: Kernel, sampler: Sampler, trials: int, task: int = 0) -> np.ndarray:
-    """Per trial, draw X_1..X_n and evaluate the multilinear sum."""
+    """Per trial, draw X_1..X_n and evaluate the multilinear sum.
+
+    The entries are added one after the other, each as a product over
+    contiguous columns of draws; a 2-D reduction over entries would sum in a
+    different order and change the last bits."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     X = sampler.draw((trials, f.n), task=task)
+    Xt = np.ascontiguousarray(X.T)
     out = np.zeros(trials)
+    term = np.empty(trials)
     for idx, v in f.support():
-        term = float(v) * np.ones(trials)
+        term.fill(float(v))
         for i in idx:
-            term = term * X[:, i - 1]
+            term *= Xt[i - 1]
         out += term
     return out
 
@@ -233,6 +254,25 @@ class JumpPath:
             raise ValueError("jump times must be strictly increasing")
 
 
+def _check_levy_args(lam: float, sigma2: float, horizon: float) -> None:
+    if not (lam >= 0 and sigma2 >= 0 and horizon > 0):
+        raise ValueError(f"need lam >= 0, sigma2 >= 0 and horizon > 0; got {lam}, {sigma2}, {horizon}")
+
+
+def _levy_draws(
+    lam: float, jump_sampler: Sampler, sigma2: float, horizon: float, seed: int, task: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One path's (times, jumps, level): the jump count, the unsorted jump
+    times and the Gaussian level come from stream (seed, task), the jump sizes
+    from the jump sampler's stream at task + 7,000,000."""
+    rng = _stream(seed, task)
+    count = int(rng.poisson(lam * horizon))
+    times = rng.uniform(0.0, horizon, size=count)
+    jumps = jump_sampler.draw(count, task=task + 7_000_000) if count else np.array([])
+    level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
+    return times, jumps, level
+
+
 def compound_poisson_path(
     lam: float,
     jump_sampler: Sampler,
@@ -241,18 +281,25 @@ def compound_poisson_path(
     seed: int,
     task: int = 0,
 ) -> JumpPath:
-    if lam < 0 or horizon <= 0:
-        raise ValueError("need lam >= 0 and horizon > 0")
-    rng = _stream(seed, task)
-    count = int(rng.poisson(lam * horizon))
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
+    _check_levy_args(lam, sigma2, horizon)
+    times, jumps, level = _levy_draws(lam, jump_sampler, sigma2, horizon, seed, task)
+    times = np.sort(times)
     # nudge exact collisions apart; measure-zero event but float grids collide
     for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], np.inf)
-    jumps = jump_sampler.draw(count, task=task + 7_000_000) if count else np.array([])
-    level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
     return JumpPath(horizon, tuple(times.tolist()), tuple(jumps.tolist()), sigma2, lam, level)
+
+
+def _variation(jumps: np.ndarray, order: int, level: float, quadratic: float) -> float:
+    """Order-n variation from a path's jump sizes, its Gaussian level and its
+    Gaussian quadratic variation sigma^2 t."""
+    power = float(np.sum(jumps**order)) if len(jumps) else 0.0
+    if order == 1:
+        return level + power
+    if order == 2:
+        return quadratic + power
+    return power
 
 
 def variation(path: JumpPath, order: int) -> float:
@@ -261,17 +308,11 @@ def variation(path: JumpPath, order: int) -> float:
     higher orders are pure jump power sums."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    jumps = np.asarray(path.jumps)
-    power = float(np.sum(jumps**order)) if len(jumps) else 0.0
-    if order == 1:
-        return path.gaussian_level + power
-    if order == 2:
-        return path.sigma2 * path.horizon + power
-    return power
+    return _variation(np.asarray(path.jumps), order, path.gaussian_level, path.sigma2 * path.horizon)
 
 
 def kstat_experiment(
-    cell_sampler: Callable[[float, np.random.Generator], float],
+    cell_sampler: Callable[[float, np.random.Generator, int], np.ndarray],
     target_cumulant: float,
     n: int,
     refinement: int,
@@ -283,15 +324,20 @@ def kstat_experiment(
 
     The measure is simulated through ``refinement`` i.i.d. cells of measure
     T/N; the statistic is sum_i Phi(A_iN)^n per path, reported with its
-    standard error against the exact target cumulant.
+    standard error against the exact target cumulant.  Path p draws its cells
+    with one call ``cell_sampler(T/N, rng, N)`` on stream (seed, p), which
+    returns the N cell values in cell order.
     """
     if paths < 2 or refinement < 1:
         raise ValueError("need paths >= 2 and refinement >= 1")
+    if n < 1:
+        raise ValueError(f"order must be >= 1; got {n}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0; got {horizon}")
     cell_measure = horizon / refinement
     stats = np.empty(paths)
     for p in range(paths):
-        rng = _stream(seed, task=p)
-        cells = np.array([cell_sampler(cell_measure, rng) for _ in range(refinement)])
+        cells = cell_sampler(cell_measure, _stream(seed, task=p), refinement)
         stats[p] = float(np.sum(cells**n))
     est = float(np.mean(stats))
     se = float(np.std(stats, ddof=1) / math.sqrt(paths))
@@ -307,17 +353,28 @@ def kstat_experiment(
     }
 
 
-def gaussian_cell_sampler(measure: float, rng: np.random.Generator) -> float:
-    """Brownian-increment cells: Phi(A) ~ N(0, nu(A))."""
-    return math.sqrt(measure) * rng.standard_normal()
+def gaussian_cell_sampler(measure: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Brownian-increment cells: Phi(A) ~ N(0, nu(A)), ``count`` of them in
+    one draw (the same numbers as ``count`` scalar draws)."""
+    return math.sqrt(measure) * rng.standard_normal(count)
 
 
 def compound_poisson_cell_sampler(lam: float, jump_draw: Callable[[np.random.Generator, int], np.ndarray]):
-    def cell(measure: float, rng: np.random.Generator) -> float:
-        count = int(rng.poisson(lam * measure))
-        return float(np.sum(jump_draw(rng, count))) if count else 0.0
+    """Compound-Poisson cells: each cell draws its Poisson(lam nu(A)) count,
+    then ``jump_draw(rng, count)`` its jumps, from the path's stream.  The
+    cells stay a scalar loop: a cell's jumps sit between its count and the
+    next cell's count in the stream, so batching the counts would change the
+    draws."""
 
-    return cell
+    def cells(measure: float, rng: np.random.Generator, count: int) -> np.ndarray:
+        out = np.zeros(count)
+        for i in range(count):
+            k = int(rng.poisson(lam * measure))
+            if k:
+                out[i] = np.sum(jump_draw(rng, k))
+        return out
+
+    return cells
 
 
 def variations_cumulant_check(
@@ -339,6 +396,9 @@ def variations_cumulant_check(
     provides the standard error.
     """
     orders = tuple(orders)
+    if any(c < 1 for c in orders):
+        raise ValueError("variation orders must be >= 1")
+    _check_levy_args(lam, sigma2, horizon)
     k = len(orders)
     total = sum(orders)
     if total >= 3:
@@ -350,21 +410,26 @@ def variations_cumulant_check(
     group_size = max(paths // CUMULANT_GROUPS, 2)
     if paths < 2 * group_size:
         raise ValueError(f"{paths} paths form fewer than 2 groups, so no standard error; need paths >= 4")
+    # the variations read only the jumps and the level, so the times are
+    # drawn (the level follows them in the stream) but never sorted
+    quadratic = sigma2 * horizon
     V = np.empty((paths, k))
     for p in range(paths):
-        path = compound_poisson_path(lam, jump_sampler, sigma2, horizon, seed, task=p)
-        for j, c in enumerate(orders):
-            V[p, j] = variation(path, c)
+        _, jumps, level = _levy_draws(lam, jump_sampler, sigma2, horizon, seed, p)
+        V[p] = [_variation(jumps, c, level, quadratic) for c in orders]
 
-    from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
+    # (Moebius value, column lists of the blocks) per partition of the k orders
+    terms = [
+        (float(moebius_to_top(sigma, "classical")), [[j - 1 for j in b] for b in sigma.blocks])
+        for sigma in enumerate_partitions(k, PartitionFilter())
+    ]
 
     def plugin_cumulant(block: np.ndarray) -> float:
         est = 0.0
-        for sigma in enumerate_partitions(k, PartitionFilter()):
-            mu = float(moebius_to_top(sigma, "classical"))
+        for mu, blocks in terms:
             term = mu
-            for b in sigma.blocks:
-                term *= float(np.mean(np.prod(block[:, [j - 1 for j in b]], axis=1)))
+            for cols in blocks:
+                term *= float(np.mean(np.prod(block[:, cols], axis=1)))
             est += term
         return est
 

@@ -411,6 +411,18 @@ def test_bad_monte_carlo_arguments_exit_2(argv, tmp_path):
     assert code == 2 and "error" in payload["result"]
 
 
+@pytest.mark.parametrize("argv", [
+    # each exited 0 with "within_5se": true (order 0 reported estimate = refinement, se 0)
+    ["kstat", "--order", "0"],
+    ["kstat", "--order", "-1"],
+    ["kstat", "--horizon", "nan"],
+    ["simulate-levy", "--sigma2", "-1"],
+])
+def test_meaningless_monte_carlo_inputs_exit_2(argv, tmp_path):
+    code, payload = run_json(argv + ["--paths", "10"], tmp_path)
+    assert code == 2 and payload["result"]["error"]["code"] == "ValueError"
+
+
 _SMALL = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-4, 6)
           | st.sampled_from(["1/2", "1/0", "x", "", "exact", "float", math.inf, math.nan])
           | st.text(max_size=4))

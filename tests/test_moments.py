@@ -231,6 +231,18 @@ def test_wick_moment_tetilla_and_odd():
     assert wick_moment(lk, 2, "classical") == moment_exact(SumSpec(ONE2, gaussian(1, 8)), 2)
 
 
+def test_wick_moment_of_a_constant_kernel():
+    # total degree 0: no slots to pair, the functional is the constant itself
+    const = build_kernel(3, 0, [((), F(5, 7))])
+    for kind, law in (("classical", gaussian(1, 8)), ("free", semicircle(1, 8))):
+        for m in range(4):
+            assert wick_moment(lift(const, []), m, kind) == F(5, 7) ** m
+            assert wick_moment(lift(const, []), m, kind) == moment_exact(SumSpec(const, law), m)
+            assert wick_moment(lift(const, []), m, kind) == moment_oracle(SumSpec(const, law), m)
+    assert wick_moment(lift(const, []), 3, "free") == F(125, 343)
+    assert wick_moment(lift(build_kernel(3, 0, []), []), 2, "classical") == 0
+
+
 def test_cross_engine_chi_square_and_free_poisson_identities():
     # H2(N) = N^2 - 1 has the centered chi-square(1) law and U2(S) the centered
     # free Poisson(1) law, so Wick moments of the order-2 lift must equal

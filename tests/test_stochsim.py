@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from homsum.kernels import build_kernel, offdiag_kernel, star_kernel
 from homsum.laws import gaussian
 from homsum.moments import SumSpec, moment_exact
+from homsum.partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 from homsum.stochsim import (
+    CUMULANT_GROUPS,
     _stream,
     JumpPath,
     Sampler,
@@ -246,3 +249,160 @@ def test_monte_carlo_checks_refuse_too_little_data():
         with pytest.raises(ValueError):
             variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (3,), paths=paths, seed=30)
     assert variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (3,), paths=4, seed=30)["groups"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The scalar loops that the per-path and per-row code replaced, kept as
+# referees: every draw and every output must agree bit for bit (==, no
+# tolerance).
+
+LAWS = [
+    Sampler("gaussian", seed=3),
+    Sampler("rademacher", seed=4),
+    Sampler("centered_poisson", seed=5, params={"lam": 2}),
+    Sampler("discrete", seed=6, params={"values": [-1, 0, 2], "probs": ["1/2", "1/4", "1/4"]}),
+]
+
+
+def scalar_sample_homsum(f, sampler, trials, task):
+    X = sampler.draw((trials, f.n), task=task)
+    out = np.zeros(trials)
+    for idx, v in f.support():
+        term = float(v) * np.ones(trials)
+        for i in idx:
+            term = term * X[:, i - 1]
+        out += term
+    return out
+
+
+def scalar_gaussian_cell(measure, rng):
+    return math.sqrt(measure) * rng.standard_normal()
+
+
+def scalar_compound_poisson_cell(lam, jump_draw):
+    def cell(measure, rng):
+        count = int(rng.poisson(lam * measure))
+        return float(np.sum(jump_draw(rng, count))) if count else 0.0
+
+    return cell
+
+
+def scalar_kstat(cell, n, refinement, paths, horizon, seed):
+    measure = horizon / refinement
+    stats = np.empty(paths)
+    for p in range(paths):
+        rng = _stream(seed, task=p)
+        cells = np.array([cell(measure, rng) for _ in range(refinement)])
+        stats[p] = float(np.sum(cells**n))
+    return float(np.mean(stats)), float(np.std(stats, ddof=1) / math.sqrt(paths))
+
+
+def scalar_path(lam, jump_sampler, sigma2, horizon, seed, task):
+    rng = _stream(seed, task)
+    count = int(rng.poisson(lam * horizon))
+    times = np.sort(rng.uniform(0.0, horizon, size=count))
+    for i in range(1, len(times)):
+        if times[i] <= times[i - 1]:
+            times[i] = np.nextafter(times[i - 1], np.inf)
+    jumps = jump_sampler.draw(count, task=task + 7_000_000) if count else np.array([])
+    level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
+    return JumpPath(horizon, tuple(times.tolist()), tuple(jumps.tolist()), sigma2, lam, level)
+
+
+def scalar_variation(path, order):
+    jumps = np.asarray(path.jumps)
+    power = float(np.sum(jumps**order)) if len(jumps) else 0.0
+    if order == 1:
+        return path.gaussian_level + power
+    if order == 2:
+        return path.sigma2 * path.horizon + power
+    return power
+
+
+def scalar_variations_check(lam, jump_sampler, sigma2, horizon, orders, paths, seed):
+    k = len(orders)
+    group_size = max(paths // CUMULANT_GROUPS, 2)
+    V = np.empty((paths, k))
+    for p in range(paths):
+        path = scalar_path(lam, jump_sampler, sigma2, horizon, seed, task=p)
+        for j, c in enumerate(orders):
+            V[p, j] = scalar_variation(path, c)
+    estimates = []
+    for g in range(0, paths - group_size + 1, group_size):
+        block = V[g: g + group_size]
+        est = 0.0
+        for sigma in enumerate_partitions(k, PartitionFilter()):
+            term = float(moebius_to_top(sigma, "classical"))
+            for b in sigma.blocks:
+                term *= float(np.mean(np.prod(block[:, [j - 1 for j in b]], axis=1)))
+            est += term
+        estimates.append(est)
+    return float(np.mean(estimates)), float(np.std(estimates, ddof=1) / math.sqrt(len(estimates)))
+
+
+def test_sample_homsum_matches_the_entry_loop_bitwise():
+    rnd = random.Random(5)
+    kernels = [build_kernel(4, d, [], mode="float") for d in range(4)]  # empty kernels
+    kernels += [HALF, offdiag_kernel(5), build_kernel(3, 0, [((), F(2, 3))])]
+    for d in range(4):
+        for n in (1, 3, 9):
+            entries = {tuple(rnd.randint(1, n) for _ in range(d)): rnd.uniform(-2, 2) for _ in range(12)}
+            kernels.append(build_kernel(n, d, entries.items(), mode="float"))
+    for f in kernels:
+        for smp in LAWS:
+            for trials in (1, 7, 300):
+                got = sample_homsum(f, smp, trials, task=2)
+                assert np.array_equal(got, scalar_sample_homsum(f, smp, trials, task=2)), (f, smp, trials)
+
+
+def test_cell_samplers_draw_what_scalar_cells_drew():
+    for count in (0, 1, 5, 200):
+        rng, ref = _stream(8, 1), _stream(8, 1)
+        want = np.array([scalar_gaussian_cell(0.3, ref) for _ in range(count)], dtype=float)
+        assert gaussian_cell_sampler(0.3, rng, count).tobytes() == want.tobytes()
+    for smp in LAWS:
+        cells = compound_poisson_cell_sampler(1.7, smp.draw_from)
+        cell = scalar_compound_poisson_cell(1.7, smp.draw_from)
+        rng, ref = _stream(9, 2), _stream(9, 2)
+        want = np.array([cell(0.4, ref) for _ in range(50)])
+        assert cells(0.4, rng, 50).tobytes() == want.tobytes()
+        assert rng.random() == ref.random()  # both streams left at the same point
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kstat_matches_the_cell_loop_bitwise(n):
+    rad = lambda rng, c: rng.choice([-1.0, 1.0], size=c)  # noqa: E731
+    cases = [(gaussian_cell_sampler, scalar_gaussian_cell)]
+    cases += [(compound_poisson_cell_sampler(lam, draw), scalar_compound_poisson_cell(lam, draw))
+              for lam in (0.0, 2.5) for draw in (rad, LAWS[3].draw_from)]
+    for cells, cell in cases:
+        for refinement, paths in ((1, 2), (1, 40), (7, 30), (100, 12)):
+            rep = kstat_experiment(cells, 0.5, n, refinement, paths, 1.3, seed=11)
+            assert (rep["estimate"], rep["se"]) == scalar_kstat(cell, n, refinement, paths, 1.3, seed=11)
+
+
+def test_levy_paths_and_variations_match_the_path_loop_bitwise():
+    for smp in LAWS:
+        for lam in (0.0, 0.6, 4.0):
+            for sigma2 in (0.0, 0.5):
+                for task in range(4):
+                    path = compound_poisson_path(lam, smp, sigma2, 1.2, seed=13, task=task)
+                    assert path == scalar_path(lam, smp, sigma2, 1.2, 13, task)
+                    for c in (1, 2, 3, 4):
+                        assert variation(path, c) == scalar_variation(path, c)
+                for orders in ((3,), (1, 2), (2, 2), (1, 1, 1)):
+                    rep = variations_cumulant_check(lam, smp, smp.law_spec(12), sigma2, 1.2, orders, 60, seed=14)
+                    assert (rep["estimate"], rep["se"]) == scalar_variations_check(lam, smp, sigma2, 1.2, orders, 60, 14)
+
+
+def test_monte_carlo_checks_refuse_meaningless_inputs():
+    for n, horizon in ((0, 1.0), (-1, 1.0), (2, math.nan), (2, math.inf), (2, 0.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            kstat_experiment(gaussian_cell_sampler, 1.0, n, 10, 10, horizon, seed=1)
+    rad = Sampler("rademacher", seed=29)
+    with pytest.raises(ValueError):
+        variations_cumulant_check(2.0, rad, rad.law_spec(8), -1.0, 1.0, (2,), paths=10, seed=30)
+    with pytest.raises(ValueError):
+        variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (0, 2), paths=10, seed=30)
+    with pytest.raises(ValueError):
+        compound_poisson_path(2.0, rad, -0.5, 1.0, seed=1)
