@@ -78,40 +78,43 @@ def _text_table(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit(report: dict, config: dict, fmt: str, output: str | None) -> None:
+def render(report: dict, config: dict, fmt: str) -> str:
+    """The report as JSON, CSV or aligned text; CSV needs the report's rows."""
     payload = {"config": _jsonable(config), "result": _jsonable(report)}
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = report.get("rows")
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    for k, v in payload["config"].items():
+        buf.write(f"# {k}={v}\n")
+    rows = report.get("rows")
+    if fmt == "csv":
         if rows is None:
             raise CliValidationError("format", "this report has no tabular rows; use json or text", "format")
-        buf = io.StringIO()
-        for k, v in payload["config"].items():
-            buf.write(f"# {k}={v}\n")
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: _jsonable(v) for k, v in r.items()})
-        text = buf.getvalue()
+        if rows:
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            for r in rows:
+                writer.writerow({k: _jsonable(v) for k, v in r.items()})
+        return buf.getvalue()
+    if rows is not None:
+        buf.write(_text_table(rows))
+        rest = {k: v for k, v in payload["result"].items() if k != "rows"}
     else:
-        buf = io.StringIO()
-        for k, v in payload["config"].items():
-            buf.write(f"# {k}={v}\n")
-        rows = report.get("rows")
-        if rows is not None:
-            buf.write(_text_table(rows))
-            rest = {k: v for k, v in payload["result"].items() if k != "rows"}
-        else:
-            rest = payload["result"]
-        for k, v in rest.items():
-            buf.write(f"{k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}\n")
-        text = buf.getvalue()
-    if output:
+        rest = payload["result"]
+    for k, v in rest.items():
+        buf.write(f"{k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}\n")
+    return buf.getvalue()
+
+
+def _write(text: str, output: str | None) -> None:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise CliValidationError("output-file", f"cannot write output file {output}: {e.strerror}", "output")
 
 
 def _load_kernel(path: str, mode: str) -> K.Kernel:
@@ -166,10 +169,13 @@ def _law_functional(args, need_order: int) -> O.MomentFunctional:
 
 
 def cmd_partitions(args, cap):
+    # --min-block-size k allows the sizes k..n (an n above the cap is refused)
+    sizes = set(range(max(args.min_block_size, 1), min(args.n, cap) + 1))
+    if args.pairings:
+        sizes &= {2}
     filt = PartitionFilter(
         noncrossing=args.noncrossing,
-        allowed_block_sizes=frozenset({2}) if args.pairings else None,
-        min_block_size=args.min_block_size,
+        allowed_block_sizes=sizes if args.pairings or args.min_block_size > 1 else None,
         respects=SetPartition.parse(args.respects) if args.respects else None,
     )
     parts = list(enumerate_partitions(args.n, filt, cap))
@@ -543,22 +549,22 @@ def run(argv=None) -> int:
         if config["cap"] is None:
             config["cap"] = _default_cap()
         report = HANDLERS[args.command](args, config["cap"])
+        _write(render(report, config, args.format), args.output)
+        return 0
     except CliValidationError as e:
-        emit({"error": e.record}, config, "json", getattr(args, "output", None))
-        return 2
+        record = e.record
     except ValueError as e:
-        emit(
-            {"error": {"code": type(e).__name__, "message": str(e), "field": ""}},
-            config,
-            "json",
-            getattr(args, "output", None),
-        )
-        return 2
+        record = {"code": type(e).__name__, "message": str(e), "field": ""}
     except Exception as e:  # internal error
         sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return 1
-    emit(report, config, args.format, args.output)
-    return 0
+    text = render({"error": record}, config, "json")
+    try:
+        _write(text, args.output)
+    except CliValidationError:
+        # the output path cannot be written, so the record goes to stdout
+        sys.stdout.write(text)
+    return 2
 
 
 def main() -> None:

@@ -206,6 +206,22 @@ def _entries_by_head(g: Kernel, h: int) -> dict[tuple[int, ...], list[tuple[tupl
     return out
 
 
+def _contract(f: Kernel, g: Kernel, q: int, keep: int) -> Kernel:
+    """Sums f's last q indices against g's first q, which match them in
+    reverse order; with keep = 1 the first of f's summed indices stays free
+    as well, between the two argument groups."""
+    by_head = _entries_by_head(g, q)
+    acc: dict[tuple[int, ...], Scalar] = {}
+    zero = f._zero
+    for fi, fv in f.values.items():
+        t = fi[: f.d - q + keep]
+        for tail, gv in by_head.get(fi[f.d - q:][::-1], ()):
+            key = t + tail
+            acc[key] = acc.get(key, zero) + fv * gv
+    acc = {k: v for k, v in acc.items() if v}
+    return Kernel(f.n, f.d + g.d - 2 * q + keep, acc, f.mode)
+
+
 def contraction(f: Kernel, g: Kernel, q: int) -> Kernel:
     """Contraction of order q: sums q inner indices of f against the reversed
     leading indices of g; q = 0 is the outer product."""
@@ -213,17 +229,7 @@ def contraction(f: Kernel, g: Kernel, q: int) -> Kernel:
         raise KernelError("alphabet/mode mismatch")
     if not (0 <= q <= min(f.d, g.d)):
         raise KernelError(f"q={q} out of range for degrees {f.d}, {g.d}")
-    out_d = f.d + g.d - 2 * q
-    by_head = _entries_by_head(g, q)
-    acc: dict[tuple[int, ...], Scalar] = {}
-    zero = f._zero
-    for fi, fv in f.values.items():
-        t = fi[: f.d - q]
-        for tail, gv in by_head.get(fi[f.d - q:][::-1], ()):
-            key = t + tail
-            acc[key] = acc.get(key, zero) + fv * gv
-    acc = {k: v for k, v in acc.items() if v}
-    return Kernel(f.n, out_d, acc, f.mode)
+    return _contract(f, g, q, 0)
 
 
 def star_contraction(f: Kernel, g: Kernel, r: int) -> Kernel:
@@ -233,18 +239,7 @@ def star_contraction(f: Kernel, g: Kernel, r: int) -> Kernel:
         raise KernelError("alphabet/mode mismatch")
     if not (1 <= r <= min(f.d, g.d)):
         raise KernelError(f"r={r} out of range for degrees {f.d}, {g.d}")
-    out_d = f.d + g.d - 2 * r + 1
-    by_head = _entries_by_head(g, r)
-    acc: dict[tuple[int, ...], Scalar] = {}
-    zero = f._zero
-    for fi, fv in f.values.items():
-        t, gamma = fi[: f.d - r], fi[f.d - r]
-        # g's r leading indices: the reversed summed ones, then gamma
-        for tail, gv in by_head.get(fi[f.d - r + 1:][::-1] + (gamma,), ()):
-            key = t + (gamma,) + tail
-            acc[key] = acc.get(key, zero) + fv * gv
-    acc = {k: v for k, v in acc.items() if v}
-    return Kernel(f.n, out_d, acc, f.mode)
+    return _contract(f, g, r, 1)
 
 
 def influence(f: Kernel) -> list[Scalar]:

@@ -104,16 +104,15 @@ def _respectful_blocks(
     noncrossing: bool,
     sizes: frozenset[int],
     cap: int,
-    partition_class: Optional[tuple[int, ...]] = None,
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Cached enumeration of the partitions entering a lattice moment sum:
-    they respect the factor-interval partition and use only block sizes
-    carrying a nonzero cumulant."""
+    they respect the factor-interval partition and use only the block sizes
+    in ``sizes`` (those carrying a nonzero cumulant, or {2, 4} for the
+    fourth-moment classes), as block tuples in restricted-growth order."""
     filt = PartitionFilter(
         noncrossing=noncrossing,
         allowed_block_sizes=sizes,
         respects=_factor_layout(degrees),
-        partition_class=partition_class,
     )
     D = sum(degrees)
     return tuple(p.blocks for p in enumerate_partitions(D, filt, cap))
@@ -299,7 +298,8 @@ def moment_exact(spec: SumSpec, m: int, cap: int = DEFAULT_SIZE_CAP) -> Fraction
 
 @lru_cache(maxsize=32)
 def _nc_blocks(D: int, min_block: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    filt = PartitionFilter(noncrossing=True, min_block_size=min_block)
+    sizes = None if min_block == 1 else range(min_block, D + 1)
+    filt = PartitionFilter(noncrossing=True, allowed_block_sizes=sizes)
     return tuple(p.blocks for p in enumerate_partitions(D, filt, cap=max(D, DEFAULT_SIZE_CAP)))
 
 
@@ -439,15 +439,42 @@ def _standard_fourth(g: Kernel, kind: str, cap: int) -> Fraction:
     return moment_exact(SumSpec(g, law), 4, cap)
 
 
+def _fourth_classes(f: Kernel, cap: int) -> tuple[Fraction, tuple[Fraction, ...], tuple[int, ...]]:
+    """The classical fourth-moment class sums of f from one enumeration.
+
+    A respectful partition of four copies of f's d positions into blocks of
+    sizes 2 and 4 has class (4^m, 2^(2(d-m))), m being its number of
+    4-blocks.  Returns the m = 0 sum over the pairings, which is E[Q(f)^4]
+    over standard Gaussian entries, then the sums and the partition counts
+    of the classes m = 1..d.
+    """
+    if f.mode != "exact":
+        raise ValueError("exact moments require exact-mode kernels")
+    d = f.d
+    if 4 * d > cap:
+        raise FeasibilityError(f"total degree {4 * d} exceeds the partition cap {cap}")
+    table, den = _integer_scaled(f.values)
+    units = [(i, 1) for i in range(1, f.n + 1)]
+    sums = [0] * (d + 1)
+    counts = [0] * (d + 1)
+    for blocks in _respectful_blocks((d,) * 4, False, frozenset({2, 4}), cap):
+        m = sum(len(b) == 4 for b in blocks)
+        sums[m] += _block_sum((table,) * 4, (d,) * 4, blocks, [units] * len(blocks))
+        counts[m] += 1
+    terms = [Fraction(s, den**4) for s in sums]
+    return terms[0], tuple(terms[1:]), tuple(counts[1:])
+
+
 def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     """Decompose E[Q^4] into the Gaussian/semicircular part plus fourth-cumulant
     corrections.
 
     Free kind: phi(Q_Y^4) = phi(Q_S^4) + kappa_4(Y) * sum_k phi(Q_S(f(k,.))^4)
     (the respectful partitions with blocks of size 2 or 4 carry exactly one
-    4-block).  Classical kind: the chi_4^m coefficients are computed by
-    explicit enumeration of the respectful class-(2^(2(d-m)), 4^m)
-    partitions; the literature closed form binom(d,m)^4 m!^4 * slice sums is
+    4-block).  Classical kind: one enumeration of the respectful partitions
+    with blocks of size 2 or 4 gives every class (4^m, 2^(2(d-m))): m = 0 is
+    the Gaussian term and the class sums m = 1..d are the chi_4^m
+    coefficients.  The literature closed form binom(d,m)^4 m!^4 * slice sums is
     evaluated alongside for comparison but never used as the value (at
     m = d = 2 enumeration yields 8 such partitions against the closed form's
     16, and the brute-force oracle sides with the enumeration).
@@ -483,19 +510,7 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     if law.moment(3) != 0:
         raise AssumptionError("classical decomposition assumes E[X^3] = 0")
     chi4 = law.cumulant(4)
-    base = _standard_fourth(f, "classical", cap)
-    table, den = _integer_scaled(f.values)
-    units = [(i, 1) for i in range(1, f.n + 1)]
-    class_terms: list[Fraction] = []
-    class_counts: list[int] = []
-    for m in range(1, d + 1):
-        census = tuple(sorted([4] * m + [2] * (2 * (d - m)), reverse=True))
-        respectful = _respectful_blocks(
-            (d, d, d, d), False, frozenset({2, 4}), cap, census
-        )
-        term = sum(_block_sum((table,) * 4, (d,) * 4, b, [units] * len(b)) for b in respectful)
-        class_terms.append(Fraction(term, den**4))
-        class_counts.append(len(respectful))
+    base, class_terms, class_counts = _fourth_classes(f, cap)
 
     closed_form_terms: list[Fraction] = []
     for m in range(1, d + 1):
@@ -514,8 +529,8 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         "kind": "classical",
         "gaussian_term": base,
         "chi4": chi4,
-        "class_terms": tuple(class_terms),
-        "class_counts": tuple(class_counts),
+        "class_terms": class_terms,
+        "class_counts": class_counts,
         "closed_form_terms": tuple(closed_form_terms),
         "closed_form_matches": tuple(
             a == b for a, b in zip(class_terms, closed_form_terms)
@@ -553,9 +568,8 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
     d = f.d
     lo = min(chi4s)
     A = min(lo**m for m in range(1, d + 1))
-    base = _standard_fourth(f, "classical", cap)
-    iid_rec = fourth_moment_formula(SumSpec(f, gaussian(1, max_order=8)), cap)
-    class_sum = sum(iid_rec["class_terms"], Fraction(0))
+    base, class_terms, _ = _fourth_classes(f, cap)
+    class_sum = sum(class_terms, Fraction(0))
     m4 = moment_exact(spec, 4, cap)
     var = moment_exact(spec, 2, cap)
     lower = (base - 3 * var**2) + A * class_sum

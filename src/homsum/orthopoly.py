@@ -163,7 +163,8 @@ class MomentFunctional:
         return MomentFunctional(tuple(l.moments for l in (law, *extra_laws)))
 
     def moment(self, j: int, k: int) -> Fraction:
-        seq = self.groups[j if j < len(self.groups) else 0]
+        j = j if j < len(self.groups) else 0
+        seq = self.groups[j]
         if k >= len(seq):
             raise OrthopolyError(
                 f"group {j} holds moments only to order {len(seq) - 1}, need {k}"
@@ -210,7 +211,7 @@ def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
     for shift in range(n - m + 1):
         rows.append([F.moment(0, shift + j) for j in range(n + 1)])
     for g in range(2, m + 1):
-        rows.append([F.moment(g - 1 if g - 1 < len(F.groups) else 0, j) for j in range(n + 1)])
+        rows.append([F.moment(g - 1, j) for j in range(n + 1)])
     coeffs = []
     for j in range(n + 1):
         minor = [[row[c] for c in range(n + 1) if c != j] for row in rows]
@@ -237,11 +238,9 @@ def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
         raise OrthopolyError("permutation expansion exceeds the feasibility guard")
 
     def group_of(j: int) -> int:
-        # variables X_1..X_r share group 0; X_{r+t} (t >= 1) uses group t+1 when present
-        if j <= r:
-            return 0
-        g = j - r + 1
-        return g - 1 if g - 1 < len(F.groups) else 0
+        # X_1..X_r share group 0 and X_{r+t} (t >= 1) uses group t; F.moment
+        # reads a missing group as group 0
+        return 0 if j <= r else j - r
 
     coeffs = [Fraction(0)] * (n + 1)
     small = list(itertools.permutations(range(r)))

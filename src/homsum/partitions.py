@@ -196,40 +196,21 @@ def lattice_join(sigma: SetPartition, pi: SetPartition) -> SetPartition:
 
 @dataclass(frozen=True)
 class PartitionFilter:
-    """Filter clauses for :func:`enumerate_partitions`; all active clauses must hold."""
+    """Filter clauses for :func:`enumerate_partitions`; all active clauses must hold.
+
+    ``allowed_block_sizes`` is the set of block sizes a partition may use:
+    ``None`` allows every size and an empty set allows none.  A lower bound k
+    on the sizes is ``range(k, n + 1)``.  ``respects`` asks that no block holds
+    two elements of one block of the given partition of [n].
+    """
 
     noncrossing: bool = False
     allowed_block_sizes: Optional[frozenset[int]] = None
-    min_block_size: int = 1
     respects: Optional[SetPartition] = None
-    partition_class: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.allowed_block_sizes is not None:
             object.__setattr__(self, "allowed_block_sizes", frozenset(self.allowed_block_sizes))
-        if self.partition_class is not None:
-            object.__setattr__(
-                self, "partition_class", tuple(sorted(self.partition_class, reverse=True))
-            )
-
-    def _size_bounds(self) -> tuple[int, Optional[int]]:
-        lo, hi = self.min_block_size, None
-        if self.allowed_block_sizes:
-            lo = max(lo, min(self.allowed_block_sizes))
-            hi = max(self.allowed_block_sizes)
-        if self.partition_class:
-            lo = max(lo, min(self.partition_class))
-            cmax = max(self.partition_class)
-            hi = cmax if hi is None else min(hi, cmax)
-        return lo, hi
-
-    def size_ok(self, k: int) -> bool:
-        lo, hi = self._size_bounds()
-        if k < lo or (hi is not None and k > hi):
-            return False
-        if self.allowed_block_sizes is not None and k not in self.allowed_block_sizes:
-            return False
-        return True
 
 
 def enumerate_partitions(
@@ -239,20 +220,23 @@ def enumerate_partitions(
 ) -> Iterator[SetPartition]:
     """All partitions of [n] passing the filter, in restricted-growth order.
 
-    Generation proceeds element by element (a restricted-growth walk); the
-    block-size, respectful and non-crossing clauses prune partial states so
-    that, e.g., pairings of [12] never touch the full Bell(12) tree.
+    Generation proceeds element by element (a restricted-growth walk).  The
+    least and greatest allowed block sizes, the respectful and the
+    non-crossing clauses prune partial states, so that, e.g., pairings of [12]
+    never touch the full Bell(12) tree; each leaf is then checked against the
+    allowed sizes.  An empty size set yields nothing at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(n, cap)
     if filt.respects is not None and filt.respects.n != n:
         raise ValueError("respects-partition ground set does not match n")
-    if filt.partition_class is not None and sum(filt.partition_class) != n:
-        raise ValueError("partition class must sum to n")
 
+    sizes = filt.allowed_block_sizes
+    if sizes is not None and not sizes:
+        return
+    size_lo, size_hi = (min(sizes), max(sizes)) if sizes is not None else (1, n)
     star = filt.respects.block_of if filt.respects is not None else None
-    size_lo, size_hi = filt._size_bounds()
     blocks: list[list[int]] = []
 
     def crossing(target: list[int], x: int) -> bool:
@@ -268,16 +252,12 @@ def enumerate_partitions(
 
     def rec(x: int) -> Iterator[SetPartition]:
         if x > n:
-            if all(filt.size_ok(len(b)) for b in blocks):
-                if filt.partition_class is not None:
-                    census = tuple(sorted((len(b) for b in blocks), reverse=True))
-                    if census != filt.partition_class:
-                        return
+            if sizes is None or all(len(b) in sizes for b in blocks):
                 yield SetPartition(n, tuple(tuple(b) for b in blocks))
             return
         remaining = n - x + 1
         for b in blocks:
-            if size_hi is not None and len(b) >= size_hi:
+            if len(b) >= size_hi:
                 continue
             if star is not None and any(star[y] == star[x] for y in b):
                 continue
@@ -370,7 +350,9 @@ def riordan(m: int, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Number of non-crossing partitions of [m] with no singleton block."""
     if m == 0:
         return 1
-    return count_partitions(m, PartitionFilter(noncrossing=True, min_block_size=2), cap)
+    _check_cap(m, cap)
+    no_singletons = PartitionFilter(noncrossing=True, allowed_block_sizes=range(2, m + 1))
+    return count_partitions(m, no_singletons, cap)
 
 
 def respectful_pairings(d: int, m: int, mode: str = "classical", cap: int = DEFAULT_SIZE_CAP) -> int:

@@ -277,6 +277,31 @@ def test_unreadable_input_paths_exit_2(tmp_path, half_kernel_path):
     assert code == 2 and payload["result"]["error"]["code"] == "law-file"
 
 
+def test_csv_of_a_report_without_rows_exits_2(half_kernel_path, tmp_path):
+    code, payload = run_json(
+        ["moment", "--kernel", half_kernel_path, "--law", "gaussian", "--order", "2",
+         "--format", "csv"],
+        tmp_path,
+    )
+    assert code == 2 and payload["result"]["error"]["code"] == "format"
+
+
+def test_csv_with_no_rows_writes_only_the_config_lines(tmp_path):
+    out = tmp_path / "none.csv"
+    code = run(["partitions", "--n", "4", "--min-block-size", "5", "--format", "csv",
+                "--output", str(out)])
+    lines = out.read_text().splitlines()
+    assert code == 0 and lines and all(l.startswith("# ") for l in lines)
+    assert "# n=4" in lines
+
+
+def test_unwritable_output_exits_2_with_the_record_on_stdout(tmp_path, capsys):
+    code = run(["partitions", "--n", "3", "--output", str(tmp_path / "missing" / "x.txt")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().out)["result"]["error"]
+    assert record["code"] == "output-file" and record["field"] == "output"
+
+
 def test_text_format_alignment(tmp_path):
     out = tmp_path / "table.txt"
     code = run(["partitions", "--n", "4", "--pairings", "--format", "text",

@@ -28,6 +28,9 @@ from homsum.moments import (
     FeasibilityError,
     SumSpec,
     _block_sum,
+    _fourth_classes,
+    _integer_scaled,
+    _standard_fourth,
     fmt_report,
     fourth_moment_formula,
     hypercontractivity_bound,
@@ -39,7 +42,7 @@ from homsum.moments import (
     stein_wasserstein_bound,
     wick_moment,
 )
-from homsum.partitions import respectful_pairings
+from homsum.partitions import PartitionFilter, enumerate_partitions, interval_partition, respectful_pairings
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -344,6 +347,28 @@ def test_classical_fourth_moment_formula_and_discrepancy():
     # oracle arbitration: E[Q^4] = (3 + chi4)^2 at n = 2
     chi4 = rademacher(10).cumulant(4)
     assert moment_oracle(SumSpec(HALF, rademacher(10)), 4) == (3 + chi4) ** 2
+
+
+def test_fourth_classes_match_a_per_class_referee():
+    # referee: enumerate the {2,4} respectful partitions of four copies,
+    # group them by their block-size census and sum each group on its own
+    rnd = random.Random(11)
+    for d, n in ((1, 4), (2, 4), (3, 3)):
+        k = symmetric_random(n, d, rnd, density=1.0)
+        table, den = _integer_scaled(k.values)
+        units = [(i, 1) for i in range(1, n + 1)]
+        filt = PartitionFilter(allowed_block_sizes={2, 4}, respects=interval_partition(d, 4))
+        sums, counts = {}, {}
+        for p in enumerate_partitions(4 * d, filt):
+            cls = p.partition_class()
+            counts[cls] = counts.get(cls, 0) + 1
+            sums[cls] = sums.get(cls, 0) + _block_sum((table,) * 4, (d,) * 4, p.blocks, [units] * len(p))
+        classes = [(4,) * m + (2,) * (2 * (d - m)) for m in range(1, d + 1)]
+        base, terms, got_counts = _fourth_classes(k, 14)
+        assert base == _standard_fourth(k, "classical", 14)
+        assert got_counts == tuple(counts[c] for c in classes)
+        assert terms == tuple(F(sums[c], den**4) for c in classes)
+        assert sum(counts.values()) == sum(got_counts) + counts[(2,) * (2 * d)]
 
 
 def test_classical_formula_rejects_nonzero_third_moment():

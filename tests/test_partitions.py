@@ -53,7 +53,7 @@ def test_kernel_of():
 def test_enumeration_counts():
     assert len(parts(4, allowed_block_sizes={2})) == 3
     assert len(parts(6, allowed_block_sizes={2}, noncrossing=True)) == 5
-    assert len(parts(4, noncrossing=True, min_block_size=2)) == 3
+    assert len(parts(4, noncrossing=True, allowed_block_sizes=range(2, 5))) == 3
     # respecting the bottom partition imposes nothing
     assert len(parts(4, allowed_block_sizes={2}, respects=SetPartition.bottom(4))) == 3
     # Bell and Catalan totals
@@ -62,7 +62,7 @@ def test_enumeration_counts():
 
 
 def test_no_singleton_noncrossing_of_4():
-    got = {str(p) for p in parts(4, noncrossing=True, min_block_size=2)}
+    got = {str(p) for p in parts(4, noncrossing=True, allowed_block_sizes=range(2, 5))}
     assert got == {"1,2,3,4", "1,2|3,4", "1,4|2,3"}
 
 
@@ -81,10 +81,27 @@ def test_size_cap():
     assert count_partitions(15, PartitionFilter(allowed_block_sizes={15}), cap=15) == 1
 
 
-def test_class_filter():
-    cls = [p for p in parts(6, partition_class=(4, 2))]
-    assert all(p.partition_class() == (4, 2) for p in cls)
-    assert len(cls) == math.comb(6, 2)
+def test_size_range_equals_the_post_filtered_walk():
+    # a lower bound lo on the block sizes is the size set range(lo, n + 1):
+    # same partitions, same order as filtering the unrestricted walk
+    for n in range(1, 9):
+        star = kernel_of([i % 3 for i in range(n)])
+        for noncrossing in (False, True):
+            for respects in (None, star):
+                walk = parts(n, noncrossing=noncrossing, respects=respects)
+                for lo in (1, 2, 3):
+                    want = [p for p in walk if min(len(b) for b in p.blocks) >= lo]
+                    got = parts(n, noncrossing=noncrossing, respects=respects,
+                                allowed_block_sizes=range(lo, n + 1))
+                    assert got == want
+
+
+def test_empty_size_set_yields_nothing():
+    for n in range(1, 7):
+        assert parts(n, allowed_block_sizes=()) == []
+        assert parts(n, allowed_block_sizes=range(n + 1, n + 3), noncrossing=True) == []
+    # an empty set stops before the walk; the Bell(14) tree would take minutes
+    assert count_partitions(14, PartitionFilter(allowed_block_sizes=frozenset())) == 0
 
 
 def test_respects_matches_meet_definition():
