@@ -183,7 +183,7 @@ def cmd_partitions(args, cap):
     if args.moebius:
         mode = "noncrossing" if args.noncrossing else "classical"
         for row, p in zip(rows, parts):
-            row["moebius_to_top"] = moebius_to_top(p, mode, cap)
+            row["moebius_to_top"] = moebius_to_top(p, mode)
     return {"count": len(parts), "rows": rows}
 
 
@@ -249,8 +249,9 @@ def cmd_noncentral_check(args, cap):
 
 def cmd_joint_moment(args, cap):
     ks = [_load_kernel(p, "exact") for p in args.kernel]
-    law = _load_law(args, max_order=12)
     word = tuple(int(w) for w in args.word.split(","))
+    # a respectful block holds at most one position per letter
+    law = _load_law(args, max_order=max(10, len(word)))
     if any(w < 0 or w >= len(ks) for w in word):
         raise CliValidationError("word", "word entries must index the kernel list", "word")
     return {"value": M.joint_moment(ks, word, law, cap), "word": list(word)}

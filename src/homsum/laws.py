@@ -4,7 +4,9 @@ Moments and cumulants are tied together by the partition-lattice formulas:
 the n-th raw moment is the sum over partitions of [n] (non-crossing
 partitions in the free case) of products of per-block cumulants, and the
 inverse direction is a triangular back-substitution on the same sums.  One
-code path serves both, shared with the moment engine.
+code path serves both.  It sums over block-size classes with closed-form
+multiplicities and never enumerates a set partition, so the partition size cap
+does not bound it; a fixed order limit does.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .partitions import (
 )
 
 DEFAULT_MAX_ORDER = 10
+# Law files and the CLI's --n/--N/--k set the conversion order from outside.
+# The class sums grow with the number of integer partitions of each order
+# (5604 of 30): order 30 converts in about a second, cold, and a larger order
+# is refused rather than left to run for minutes.
+CONVERT_MAX_ORDER = 30
 
 
 class LawError(ValueError):
@@ -106,17 +113,13 @@ def _partition_classes(n: int, kind: str) -> tuple[tuple[tuple[int, ...], int], 
     return tuple(out)
 
 
-def convert(
-    seq: Sequence[Fraction],
-    direction: str,
-    kind: str,
-    cap: int = DEFAULT_SIZE_CAP,
-) -> tuple[Fraction, ...]:
+def convert(seq: Sequence[Fraction], direction: str, kind: str) -> tuple[Fraction, ...]:
     """Convert between moments and cumulants by partition summation:
     m_n = sum over partitions of [n] (non-crossing partitions for the free
     kind) of per-block cumulant products, aggregated over block-size classes
     with exact multiplicities; the inverse direction is the triangular
-    back-substitution of the same sums.
+    back-substitution of the same sums.  No set partition is enumerated;
+    orders above CONVERT_MAX_ORDER are refused.
 
     ``seq`` is indexed from 0; for 'moments_to_cumulants' seq[0] must be 1,
     for 'cumulants_to_moments' seq[0] is ignored (placeholder).
@@ -124,8 +127,8 @@ def convert(
     if kind not in ("classical", "free"):
         raise LawError("kind must be 'classical' or 'free'")
     N = len(seq) - 1
-    if N > cap:
-        raise LawError(f"order {N} exceeds the partition cap {cap}")
+    if N > CONVERT_MAX_ORDER:
+        raise LawError(f"order {N} exceeds the conversion limit {CONVERT_MAX_ORDER}")
 
     def class_sum(cums: list[Fraction], n: int, skip_top: bool) -> Fraction:
         total = Fraction(0)
@@ -160,15 +163,15 @@ def convert(
     raise LawError("direction must be 'moments_to_cumulants' or 'cumulants_to_moments'")
 
 
-def _law_from_cumulants(name, kind, cums, max_order, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def _law_from_cumulants(name, kind, cums, max_order) -> LawSpec:
     cums = tuple(cums[: max_order + 1])
-    moments = convert(cums, "cumulants_to_moments", kind, cap)
+    moments = convert(cums, "cumulants_to_moments", kind)
     return LawSpec(name, kind, moments, cums)
 
 
-def _law_from_moments(name, kind, moms, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def _law_from_moments(name, kind, moms) -> LawSpec:
     moms = tuple(moms)
-    cums = convert(moms, "moments_to_cumulants", kind, cap)
+    cums = convert(moms, "moments_to_cumulants", kind)
     return LawSpec(name, kind, moms, cums)
 
 
@@ -191,12 +194,12 @@ def gaussian(sigma2=1, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     return LawSpec("gaussian", "classical", tuple(moms), tuple(cums))
 
 
-def centered_poisson(lam=1, max_order: int = DEFAULT_MAX_ORDER, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def centered_poisson(lam=1, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     lam = Fraction(lam)
     if lam <= 0:
         raise LawError("lambda must be > 0")
     cums = [Fraction(0), Fraction(0)] + [lam] * (max_order - 1)
-    return _law_from_cumulants("centered_poisson", "classical", cums, max_order, cap)
+    return _law_from_cumulants("centered_poisson", "classical", cums, max_order)
 
 
 def gamma_f(nu, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
@@ -252,25 +255,25 @@ def semicircle(sigma2=1, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     return LawSpec("semicircle", "free", tuple(moms), tuple(cums))
 
 
-def free_poisson_centered(lam=1, max_order: int = DEFAULT_MAX_ORDER, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def free_poisson_centered(lam=1, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     lam = Fraction(lam)
     if lam <= 0:
         raise LawError("lambda must be > 0")
     cums = [Fraction(0), Fraction(0)] + [lam] * (max_order - 1)
-    return _law_from_cumulants("free_poisson_centered", "free", cums, max_order, cap)
+    return _law_from_cumulants("free_poisson_centered", "free", cums, max_order)
 
 
-def free_rademacher(max_order: int = DEFAULT_MAX_ORDER, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def free_rademacher(max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     moms = tuple(Fraction(1 - k % 2) for k in range(max_order + 1))
-    return _law_from_moments("free_rademacher", "free", moms, cap)
+    return _law_from_moments("free_rademacher", "free", moms)
 
 
-def tetilla(max_order: int = DEFAULT_MAX_ORDER, cap=DEFAULT_SIZE_CAP) -> LawSpec:
+def tetilla(max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     """Standardized commutator of two free semicirculars: even free cumulants 2^(1-m/2)."""
     cums = [Fraction(0)]
     for m in range(1, max_order + 1):
         cums.append(Fraction(0) if m % 2 else Fraction(2) ** (1 - m // 2))
-    return _law_from_cumulants("tetilla", "free", cums, max_order, cap)
+    return _law_from_cumulants("tetilla", "free", cums, max_order)
 
 
 _BUILTIN: dict[str, Callable[..., LawSpec]] = {
@@ -323,7 +326,7 @@ def transformed_law(
     for k in range(1, max_order + 1):
         moms.append(Fraction(respectful_pairings(h, k, mode, cap)))
     name = f"U{h}(S)" if kind == "free" else f"H{h}(N)"
-    return _law_from_moments(name, kind, moms, cap)
+    return _law_from_moments(name, kind, moms)
 
 
 def multivariate_cumulant(
@@ -343,7 +346,7 @@ def multivariate_cumulant(
     mode = "noncrossing" if kind == "free" else "classical"
     total = Fraction(0)
     for sigma in enumerate_partitions(n, filt, cap):
-        mu = moebius_to_top(sigma, mode, cap)
+        mu = moebius_to_top(sigma, mode)
         term = mu
         for b in sigma.blocks:
             term *= joint_moment_oracle(b)
@@ -401,14 +404,14 @@ def law_to_json(law: LawSpec) -> str:
     )
 
 
-def law_from_json(text: str, cap: int = DEFAULT_SIZE_CAP) -> LawSpec:
+def law_from_json(text: str) -> LawSpec:
     """Parse the law JSON format; any malformed document raises LawError."""
     try:
         obj = json.loads(text)
         name, kind, moms = obj["name"], obj["kind"], obj["moments"]
         if not isinstance(name, str) or not isinstance(moms, list) or not moms:
             raise LawError("need a string 'name' and a non-empty 'moments' list")
-        return _law_from_moments(name, kind, (Fraction(m) for m in moms), cap)
+        return _law_from_moments(name, kind, (Fraction(m) for m in moms))
     except LawError:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as e:

@@ -332,7 +332,7 @@ def _free_word_expectation(word, laws_for, centered, cache) -> Fraction:
     return total
 
 
-def moment_oracle(spec: SumSpec, m: int, guard: int = ORACLE_TUPLE_GUARD) -> Fraction:
+def moment_oracle(spec: SumSpec, m: int) -> Fraction:
     """Brute-force m-th moment: expand Q^m over all support tuples and
     evaluate each word expectation directly."""
     if m < 0:
@@ -345,9 +345,9 @@ def moment_oracle(spec: SumSpec, m: int, guard: int = ORACLE_TUPLE_GUARD) -> Fra
     if f.d == 0:
         return f(()) ** m
     support = list(f.values.items())
-    if len(support) ** m > guard:
+    if len(support) ** m > ORACLE_TUPLE_GUARD:
         raise FeasibilityError(
-            f"{len(support)}^{m} expansion terms exceed the oracle guard {guard}"
+            f"{len(support)}^{m} expansion terms exceed the oracle guard {ORACLE_TUPLE_GUARD}"
         )
     kind = spec.kind
     if kind == "free" and f.d * m > DEFAULT_SIZE_CAP:

@@ -131,6 +131,18 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1]) / scale
 
 
+def _cofactors(
+    moment: Callable, ks: Sequence[tuple[int, ...]], hs: Sequence[tuple[int, ...]]
+) -> list[Fraction]:
+    """Cofactors along the symbolic monomial row of the generalized moment
+    determinant with columns ``ks``: below that row come the main group's
+    rows shifted by every h in ``hs``, then one unshifted row per extra group
+    1, 2, ... to square the matrix.  ``moment(g, k)`` reads group g."""
+    rows = [[moment(0, tuple(a + b for a, b in zip(k, h))) for k in ks] for h in hs]
+    rows += [[moment(g, k) for k in ks] for g in range(1, len(ks) - len(hs))]
+    return [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(ks))]
+
+
 # ---------------------------------------------------------------------------
 # moment functionals
 
@@ -207,16 +219,8 @@ def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
         raise OrthopolyError("need 1 <= m <= n")
     if F.max_order < 2 * n - m:
         raise OrthopolyError(f"need main-group moments to order {2 * n - m}")
-    rows: list[list[Fraction]] = []
-    for shift in range(n - m + 1):
-        rows.append([F.moment(0, shift + j) for j in range(n + 1)])
-    for g in range(2, m + 1):
-        rows.append([F.moment(g - 1, j) for j in range(n + 1)])
-    coeffs = []
-    for j in range(n + 1):
-        minor = [[row[c] for c in range(n + 1) if c != j] for row in rows]
-        coeffs.append((-1) ** j * exact_det(minor))
-    p = poly_trim(coeffs)
+    ks, hs = multi_indices_upto((n,)), multi_indices_upto((n - m,))
+    p = poly_trim(_cofactors(lambda g, k: F.moment(g, k[0]), ks, hs))
     if poly_deg(p) != n:
         raise DegenerateError(
             f"leading coefficient of p_{{{n},{m}}} vanishes (degenerate moment data)"
@@ -416,21 +420,7 @@ def multi_gops_determinant(
         raise OrthopolyError("m must be nonzero")
     ks = multi_indices_upto(n)
     hs = multi_indices_upto(tuple(ni - mi for ni, mi in zip(n, m)))
-    s = len(ks) - 1
-    r = len(hs) - 1
-    rows: list[list[Fraction]] = []
-    for h in hs:
-        rows.append([F.moment(0, tuple(a + b for a, b in zip(k, h))) for k in ks])
-    for g in range(2, s - r + 1):
-        rows.append([F.moment(g - 1, k) for k in ks])
-    if len(rows) != s:
-        raise OrthopolyError("row count mismatch in the multivariate determinant")
-    coeffs: MultiPoly = {}
-    for j, k in enumerate(ks):
-        minor = [[row[c] for c in range(s + 1) if c != j] for row in rows]
-        v = (-1) ** j * exact_det(minor)
-        if v:
-            coeffs[k] = v
+    coeffs: MultiPoly = {k: v for k, v in zip(ks, _cofactors(F.moment, ks, hs)) if v}
     if coeffs.get(tuple(n), Fraction(0)) == 0:
         raise DegenerateError("leading multivariate coefficient vanishes")
     return coeffs

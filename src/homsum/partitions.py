@@ -1,7 +1,8 @@
 """Set partitions and non-crossing partitions of [n] = {1, ..., n}.
 
-Everything downstream (moment-cumulant conversion, Wick sums, respectful
-pairing counts) runs on the enumeration and Moebius machinery in this module.
+The lattice moment engine, Wick sums, respectful pairing counts and joint
+cumulants run on the enumeration and Moebius machinery in this module.  The
+size cap guards the enumerations only: the Moebius values are closed forms.
 Ground-set elements are 1-based throughout.
 """
 
@@ -297,15 +298,15 @@ def coarsenings(sigma: SetPartition, noncrossing: bool = False) -> Iterator[SetP
         yield tau
 
 
-def moebius_to_top(sigma: SetPartition, mode: str = "classical", cap: int = DEFAULT_SIZE_CAP) -> Fraction:
+def moebius_to_top(sigma: SetPartition, mode: str = "classical") -> Fraction:
     """Moebius value mu(sigma, 1) in the full partition lattice or in NC([n]).
 
     Classical values come from the closed form (-1)^(b-1) (b-1)!; the
     non-crossing values from the Kreweras form: the product over the blocks V
     of K(sigma) = sigma^{-1} gamma, gamma = (1 2 ... n), of
-    (-1)^(|V|-1) Cat_{|V|-1}.
+    (-1)^(|V|-1) Cat_{|V|-1}.  Both take O(n) steps and enumerate nothing, so
+    no size cap applies.
     """
-    _check_cap(sigma.n, cap)
     if mode == "classical":
         b = len(sigma.blocks)
         return Fraction((-1) ** (b - 1) * math.factorial(b - 1))
@@ -370,15 +371,3 @@ def respectful_pairings(d: int, m: int, mode: str = "classical", cap: int = DEFA
     )
     return count_partitions(total, filt, cap)
 
-
-def special_count(kind: str, *args, cap: int = DEFAULT_SIZE_CAP) -> int:
-    """Dispatch for the named combinatorial counts used in reports and the CLI."""
-    if kind == "catalan":
-        return catalan(*args)
-    if kind == "riordan":
-        return riordan(*args, cap=cap)
-    if kind == "double_factorial":
-        return double_factorial(*args)
-    if kind == "respectful_pairings":
-        return respectful_pairings(*args, cap=cap)
-    raise ValueError(f"unknown count kind {kind!r}")

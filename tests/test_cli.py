@@ -394,6 +394,38 @@ def test_short_law_file_exits_2(half_kernel_path, tmp_path):
     assert code == 2 and payload["result"]["error"]["code"] == "LawError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["recurrence", "--law", "uniform_centered", "--n", "8"],
+    ["gops", "--law", "centered_poisson", "--n", "8"],
+    ["sylvester", "--law", "rademacher", "--n", "3", "--k", "2"],
+    ["kstat", "--measure", "compound_poisson", "--order", "8", "--paths", "50", "--refinement", "10"],
+    ["simulate-levy", "--orders", "4,4", "--paths", "200"],
+])
+def test_law_orders_past_the_size_cap_are_not_refused(argv, tmp_path):
+    # these laws convert moments and cumulants to order 16 or 18, which
+    # enumerates no set partition, so the size cap 14 does not apply
+    code, payload = run_json(argv, tmp_path)
+    assert code == 0, payload["result"]
+
+
+def test_law_orders_past_the_conversion_limit_exit_2(tmp_path):
+    code, payload = run_json(["recurrence", "--law", "rademacher", "--n", "16"], tmp_path)
+    assert code == 2
+    assert payload["result"]["error"] == {
+        "code": "law", "message": "order 32 exceeds the conversion limit 30", "field": "law",
+    }
+
+
+def test_joint_moment_sizes_the_law_by_the_word(tmp_path):
+    one = tmp_path / "one.json"
+    one.write_text(kernel_to_json(build_kernel(1, 1, [((1,), F(1))])))
+    word = ",".join(["0"] * 14)
+    code, payload = run_json(
+        ["joint-moment", "--kernel", str(one), "--law", "semicircle", "--word", word], tmp_path
+    )
+    assert code == 0 and payload["result"]["value"] == "429/1"  # Catalan(7)
+
+
 MALFORMED_KERNELS = [
     {"n": 2, "d": 2, "entries": [{"idx": [1, 2], "val": "1/0"}]},
     {"n": 2, "d": 2, "entries": [{"idx": [1, 2], "val": None}]},

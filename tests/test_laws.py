@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from homsum.laws import (
     transformed_law,
     uniform_centered,
 )
-from homsum.partitions import PartitionFilter, enumerate_partitions
+from homsum.partitions import PartitionFilter, catalan, enumerate_partitions
 
 
 ALL_LAWS = [
@@ -208,6 +209,23 @@ def test_charlier_chebyshev_identity():
         for x in (-2, -1, 0, 1, 2):
             lhs = free_charlier(k, poly_eval_chebyshev(2, F(x)), F(1))
             assert lhs == poly_eval_chebyshev(2 * k, F(x))
+
+
+def test_law_from_json_is_not_bounded_by_the_size_cap():
+    # free Rademacher: kappa_{2k} = (-1)^(k-1) Cat_{k-1}, odd cumulants 0
+    moms = [str(1 - k % 2) for k in range(21)]
+    law = law_from_json(json.dumps({"name": "fr20", "kind": "free", "moments": moms}))
+    assert law.cumulants == convert([F(m) for m in moms], "moments_to_cumulants", "free")
+    want = [0] + [0 if k % 2 else (-1) ** (k // 2 - 1) * catalan(k // 2 - 1) for k in range(1, 21)]
+    assert list(law.cumulants) == want
+
+
+def test_conversion_order_limit():
+    assert len(convert([1] + [0] * 30, "moments_to_cumulants", "classical")) == 31
+    with pytest.raises(LawError, match="order 31 exceeds the conversion limit 30"):
+        convert([1] + [0] * 31, "moments_to_cumulants", "classical")
+    with pytest.raises(LawError, match="conversion limit"):
+        rademacher(31)
 
 
 def test_law_json_roundtrip():

@@ -172,7 +172,7 @@ def test_float_mode_contraction_tracks_exact():
 def test_oracle_guard():
     big = full_offdiag(4, 2)
     with pytest.raises(FeasibilityError):
-        moment_oracle(SumSpec(big, gaussian(1, 10)), 9, guard=10)
+        moment_oracle(SumSpec(big, gaussian(1, 10)), 9)  # 12^9 tuples > the guard
     with pytest.raises(FeasibilityError):
         moment_exact(SumSpec(big, gaussian(1, 10)), 8)  # 16 positions > cap
 

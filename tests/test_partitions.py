@@ -21,7 +21,6 @@ from homsum.partitions import (
     moebius_to_top,
     respectful_pairings,
     riordan,
-    special_count,
 )
 
 
@@ -143,6 +142,13 @@ def test_moebius_noncrossing_bottom_is_signed_catalan():
         assert got == (-1) ** (n - 1) * catalan(n - 1)
 
 
+def test_moebius_is_not_bounded_by_the_size_cap():
+    # both forms are closed-form, so a ground set past the cap is no work
+    bottom = SetPartition.bottom(20)
+    assert moebius_to_top(bottom) == (-1) ** 19 * math.factorial(19)
+    assert moebius_to_top(bottom, "noncrossing") == (-1) ** 19 * catalan(19)
+
+
 def test_moebius_requires_noncrossing_argument():
     crossing = SetPartition.from_blocks(4, [(1, 3), (2, 4)])
     with pytest.raises(ValueError):
@@ -191,15 +197,6 @@ def test_respectful_pairings():
     # inclusion-exclusion cross-check: sum_j (-1)^j C(4,j) (7-2j)!! = 60
     incl = sum((-1) ** j * math.comb(4, j) * double_factorial(7 - 2 * j) for j in range(5))
     assert incl == respectful_pairings(2, 4, "classical")
-
-
-def test_special_count_dispatch():
-    assert special_count("catalan", 3) == 5
-    assert special_count("riordan", 4) == 3
-    assert special_count("double_factorial", 5) == 15
-    assert special_count("respectful_pairings", 2, 2, "classical") == 2
-    with pytest.raises(ValueError):
-        special_count("nope")
 
 
 @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
