@@ -548,7 +548,9 @@ def run(argv=None) -> int:
             config[key] = getattr(args, key)
     try:
         if config["cap"] is None:
-            config["cap"] = _default_cap()
+            # HOMSUM_CAP sets the default of --cap; a subcommand without the
+            # flag reads no cap and echoes the package default
+            config["cap"] = _default_cap() if hasattr(args, "cap") else DEFAULT_SIZE_CAP
         report = HANDLERS[args.command](args, config["cap"])
         _write(render(report, config, args.format), args.output)
         return 0

@@ -46,7 +46,7 @@ from .partitions import (
     PartitionFilter,
     SetPartition,
     _union_classes,
-    enumerate_partitions,
+    _walk,
 )
 
 ORACLE_TUPLE_GUARD = 10**7
@@ -115,7 +115,7 @@ def _respectful_blocks(
         respects=_factor_layout(degrees),
     )
     D = sum(degrees)
-    return tuple(p.blocks for p in enumerate_partitions(D, filt, cap))
+    return tuple(_walk(D, filt, cap))
 
 
 def _cumulant_support(laws: Sequence[LawSpec], largest: int) -> frozenset[int]:
@@ -300,7 +300,7 @@ def moment_exact(spec: SumSpec, m: int, cap: int = DEFAULT_SIZE_CAP) -> Fraction
 def _nc_blocks(D: int, min_block: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     sizes = None if min_block == 1 else range(min_block, D + 1)
     filt = PartitionFilter(noncrossing=True, allowed_block_sizes=sizes)
-    return tuple(p.blocks for p in enumerate_partitions(D, filt, cap=max(D, DEFAULT_SIZE_CAP)))
+    return tuple(_walk(D, filt, max(D, DEFAULT_SIZE_CAP)))
 
 
 def _free_word_expectation(word, laws_for, centered, cache) -> Fraction:
@@ -419,8 +419,8 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     table, den = _integer_scaled(f.values)
     units = [(i, 1) for i in range(1, f.n + 1)]
     total = 0
-    for sigma in enumerate_partitions(D, filt, cap):
-        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in sigma.blocks)
+    for pairing in _walk(D, filt, cap):
+        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
         classes = _union_classes(m * f.d, links)
         total += _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
     return Fraction(total, den**m)

@@ -221,73 +221,136 @@ def enumerate_partitions(
 ) -> Iterator[SetPartition]:
     """All partitions of [n] passing the filter, in restricted-growth order.
 
-    Generation proceeds element by element (a restricted-growth walk).  The
-    least and greatest allowed block sizes, the respectful and the
-    non-crossing clauses prune partial states, so that, e.g., pairings of [12]
-    never touch the full Bell(12) tree; each leaf is then checked against the
-    allowed sizes.  An empty size set yields nothing at once.
+    One iterative restricted-growth walk places 1, ..., n in turn: element x
+    joins an existing block, tried by least element, or opens a new block
+    last.  Each step does O(1) bookkeeping:
+
+    * a running deficit (the elements the blocks still lack to reach the least
+      allowed size) prunes a state as soon as it exceeds the elements left;
+    * each block holds a bitmask of the ``respects`` classes in it, so x may
+      join it only if the bit of x's class is clear;
+    * under ``noncrossing`` a stack holds the blocks that may still grow, by
+      least element: x may join only a block on the stack, and joining one
+      closes (pops) the blocks above it, which come back on backtrack.  A
+      closed block whose size is not allowed can never be completed, so a
+      join that would close one is skipped;
+    * a running count of the blocks whose current size is not allowed makes
+      the leaf test ``bad == 0``.
+
+    Pruning removes only subtrees without a leaf, so the order is that of the
+    unpruned walk.  An empty size set yields nothing.  The checks on n, the
+    cap and ``respects`` run at the first iteration.
     """
+    return (SetPartition(n, blocks) for blocks in _walk(n, filt, cap))
+
+
+def _walk(n: int, filt: PartitionFilter, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The walk of :func:`enumerate_partitions`, yielding canonical block tuples."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_cap(n, cap)
-    if filt.respects is not None and filt.respects.n != n:
+    star = filt.respects
+    if star is not None and star.n != n:
         raise ValueError("respects-partition ground set does not match n")
-
     sizes = filt.allowed_block_sizes
     if sizes is not None and not sizes:
         return
-    size_lo, size_hi = (min(sizes), max(sizes)) if sizes is not None else (1, n)
-    star = filt.respects.block_of if filt.respects is not None else None
+    lo, hi = (min(sizes), max(sizes)) if sizes is not None else (1, n)
+    opened = max(lo - 1, 0)  # the deficit of a new block
+    notok = [sizes is not None and k not in sizes for k in range(n + 2)]
+    if star is None:
+        bit = [0] * (n + 1)
+    else:
+        star_of = star.block_of
+        bit = [0] + [1 << star_of[x] for x in range(1, n + 1)]
+    nc = filt.noncrossing
+
     blocks: list[list[int]] = []
-
-    def crossing(target: list[int], x: int) -> bool:
-        # adding x to target crosses iff some other block straddles an element of target
-        for other in blocks:
-            if other is target:
+    masks: list[int] = []  # the star classes in each block, one bit each
+    below: list[int] = []  # noncrossing: the bad blocks under each block on the stack
+    stack: list[int] = []  # the blocks that may still grow, by least element
+    chosen = [0] * (n + 1)  # the stack position x joined, -1 if x opened a block
+    closed: list = [None] * (n + 1)  # noncrossing: the blocks popped when x joined
+    deficit = bad = 0
+    x, i = 1, 0  # place x, trying the stack from position i
+    while True:
+        if x <= n:
+            left = n - x
+            bx = bit[x]
+            top = len(stack)
+            placed = False
+            while i < top:
+                b = stack[i]
+                blk = blocks[b]
+                k = len(blk)
+                if (
+                    k < hi
+                    and not masks[b] & bx
+                    and deficit - (k < lo) <= left
+                    and (not nc or bad == below[b] + notok[k])
+                ):
+                    if nc:
+                        closed[x] = stack[i + 1:]
+                        del stack[i + 1:]
+                    blk.append(x)
+                    masks[b] |= bx
+                    deficit -= k < lo
+                    bad += notok[k + 1] - notok[k]
+                    chosen[x] = i
+                    placed = True
+                    break
+                i += 1
+            if not placed and deficit + opened <= left:
+                stack.append(len(blocks))
+                blocks.append([x])
+                masks.append(bx)
+                below.append(bad)
+                deficit += opened
+                bad += notok[1]
+                chosen[x] = -1
+                placed = True
+            if placed:
+                x, i = x + 1, 0
                 continue
-            omin, omax = other[0], other[-1]
-            for j in target:
-                if omin < j < omax:
-                    return True
-        return False
-
-    def rec(x: int) -> Iterator[SetPartition]:
-        if x > n:
-            if sizes is None or all(len(b) in sizes for b in blocks):
-                yield SetPartition(n, tuple(tuple(b) for b in blocks))
-            return
-        remaining = n - x + 1
-        for b in blocks:
-            if len(b) >= size_hi:
+        elif not bad:
+            yield tuple(map(tuple, blocks))
+        # undo the latest placements until one has a next candidate
+        while True:
+            x -= 1
+            if not x:
+                return
+            i = chosen[x]
+            if i < 0:
+                stack.pop()
+                blocks.pop()
+                masks.pop()
+                below.pop()
+                deficit -= opened
+                bad -= notok[1]
                 continue
-            if star is not None and any(star[y] == star[x] for y in b):
-                continue
-            if filt.noncrossing and crossing(b, x):
-                continue
-            b.append(x)
-            deficit = sum(max(size_lo - len(bb), 0) for bb in blocks)
-            if deficit <= remaining - 1:
-                yield from rec(x + 1)
-            b.pop()
-        blocks.append([x])
-        deficit = sum(max(size_lo - len(bb), 0) for bb in blocks)
-        if deficit <= remaining - 1:
-            yield from rec(x + 1)
-        blocks.pop()
-
-    yield from rec(1)
+            b = stack[i]
+            blk = blocks[b]
+            blk.pop()
+            k = len(blk)
+            masks[b] ^= bit[x]
+            deficit += k < lo
+            bad -= notok[k + 1] - notok[k]
+            if nc:
+                stack += closed[x]
+            i += 1
+            break
 
 
 def count_partitions(n: int, filt: PartitionFilter = PartitionFilter(), cap: int = DEFAULT_SIZE_CAP) -> int:
-    return sum(1 for _ in enumerate_partitions(n, filt, cap))
+    return sum(1 for _ in _walk(n, filt, cap))
 
 
 def coarsenings(sigma: SetPartition, noncrossing: bool = False) -> Iterator[SetPartition]:
     """All partitions tau >= sigma (merging whole blocks); optionally non-crossing only."""
     b = len(sigma.blocks)
-    for merge in enumerate_partitions(b):
+    for merge in _walk(b, PartitionFilter(), DEFAULT_SIZE_CAP):
         blocks = []
-        for group in merge.blocks:
+        for group in merge:
             merged: list[int] = []
             for i in group:
                 merged.extend(sigma.blocks[i - 1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -264,6 +265,38 @@ def test_non_integer_cap_env_exits_2(tmp_path, monkeypatch):
     # an explicit --cap does not read the variable
     code, _ = run_json(["partitions", "--n", "3", "--cap", "8"], tmp_path)
     assert code == 0
+
+
+def test_cap_env_is_read_only_by_subcommands_with_the_flag(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOMSUM_CAP", "abc")
+    code, payload = run_json(["gops", "--law", "gaussian", "--n", "2"], tmp_path)
+    assert code == 0 and payload["config"]["cap"] == 14
+    monkeypatch.setenv("HOMSUM_CAP", "5")
+    code, payload = run_json(
+        ["kstat", "--measure", "gaussian", "--order", "2", "--paths", "20", "--refinement", "5"],
+        tmp_path,
+    )
+    assert code == 0 and payload["config"]["cap"] == 14
+    code, payload = run_json(["partitions", "--n", "6"], tmp_path)
+    assert code == 2 and payload["config"]["cap"] == 5
+
+
+# sha256 and byte length of the stdout of two `partitions` listings; the
+# enumeration order is part of the output, so these pin it
+PARTITIONS_GOLDEN = [
+    (["partitions", "--n", "6", "--noncrossing", "--moebius", "--format", "csv"],
+     "ee18d6e4625a8ce460c8b02e5819da977a905df8dadccb286cef112c234e680d", 2963),
+    (["partitions", "--n", "8", "--pairings", "--respects", "1,2|3,4|5,6|7,8", "--format", "json"],
+     "850cb67d396b35092c1693e70b15da6d8a2b07ebd3fab34f19415c2e67d067bb", 4834),
+]
+
+
+@pytest.mark.parametrize("argv,digest,size", PARTITIONS_GOLDEN)
+def test_partitions_stdout_golden(argv, digest, size, capsys, monkeypatch):
+    monkeypatch.delenv("HOMSUM_CAP", raising=False)
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
 def test_unreadable_input_paths_exit_2(tmp_path, half_kernel_path):

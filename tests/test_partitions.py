@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsum.partitions import (
+    DEFAULT_SIZE_CAP,
     PartitionFilter,
     SetPartition,
     SizeCapError,
@@ -14,6 +16,7 @@ from homsum.partitions import (
     count_partitions,
     double_factorial,
     enumerate_partitions,
+    _check_cap,
     interval_partition,
     kernel_of,
     lattice_join,
@@ -101,6 +104,134 @@ def test_empty_size_set_yields_nothing():
         assert parts(n, allowed_block_sizes=range(n + 1, n + 3), noncrossing=True) == []
     # an empty set stops before the walk; the Bell(14) tree would take minutes
     assert count_partitions(14, PartitionFilter(allowed_block_sizes=frozenset())) == 0
+
+
+def _recursive_walk(
+    n: int,
+    filt: PartitionFilter = PartitionFilter(),
+    cap: int = DEFAULT_SIZE_CAP,
+) -> Iterator[SetPartition]:
+    # the recursive generator enumerate_partitions ran on before the
+    # iterative walk, kept verbatim as the referee of its output and order
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_cap(n, cap)
+    if filt.respects is not None and filt.respects.n != n:
+        raise ValueError("respects-partition ground set does not match n")
+
+    sizes = filt.allowed_block_sizes
+    if sizes is not None and not sizes:
+        return
+    size_lo, size_hi = (min(sizes), max(sizes)) if sizes is not None else (1, n)
+    star = filt.respects.block_of if filt.respects is not None else None
+    blocks: list[list[int]] = []
+
+    def crossing(target: list[int], x: int) -> bool:
+        # adding x to target crosses iff some other block straddles an element of target
+        for other in blocks:
+            if other is target:
+                continue
+            omin, omax = other[0], other[-1]
+            for j in target:
+                if omin < j < omax:
+                    return True
+        return False
+
+    def rec(x: int) -> Iterator[SetPartition]:
+        if x > n:
+            if sizes is None or all(len(b) in sizes for b in blocks):
+                yield SetPartition(n, tuple(tuple(b) for b in blocks))
+            return
+        remaining = n - x + 1
+        for b in blocks:
+            if len(b) >= size_hi:
+                continue
+            if star is not None and any(star[y] == star[x] for y in b):
+                continue
+            if filt.noncrossing and crossing(b, x):
+                continue
+            b.append(x)
+            deficit = sum(max(size_lo - len(bb), 0) for bb in blocks)
+            if deficit <= remaining - 1:
+                yield from rec(x + 1)
+            b.pop()
+        blocks.append([x])
+        deficit = sum(max(size_lo - len(bb), 0) for bb in blocks)
+        if deficit <= remaining - 1:
+            yield from rec(x + 1)
+        blocks.pop()
+
+    yield from rec(1)
+
+
+def _filters(n):
+    """Every filter built from the three clauses that the walk is checked on at n."""
+    size_sets = [None, frozenset(), {1}, {2}, {3}, {2, 4}, {1, 3}, range(2, n + 1),
+                 {3, n + 1}, {n + 1, n + 2}]
+    stars = [None, SetPartition.bottom(n)]
+    stars += [interval_partition(d, n // d) for d in range(1, n + 1) if n % d == 0]
+    stars.append(kernel_of([i % 3 for i in range(n)]))  # not an interval partition from n = 4 on
+    stars = list(dict.fromkeys(stars))
+    for noncrossing in (False, True):
+        for sizes in size_sets:
+            for star in stars:
+                yield PartitionFilter(noncrossing, sizes, star)
+
+
+def test_walk_equals_the_recursive_walk_in_order():
+    for n in range(1, 10):
+        for filt in _filters(n):
+            got = list(enumerate_partitions(n, filt))
+            assert got == list(_recursive_walk(n, filt)), (n, filt)
+            assert count_partitions(n, filt) == len(got)
+            sizes = filt.allowed_block_sizes
+            for p in got:
+                assert p == SetPartition.from_blocks(n, p.blocks)
+                if filt.noncrossing:
+                    assert p.is_noncrossing()
+                if filt.respects is not None:
+                    assert p.respects(filt.respects)
+                if sizes is not None:
+                    assert all(len(b) in sizes for b in p.blocks)
+
+
+def test_walk_errors_at_the_first_iteration():
+    bad_inputs = [
+        (0, PartitionFilter(), DEFAULT_SIZE_CAP, ValueError),
+        (-3, PartitionFilter(allowed_block_sizes={2}), DEFAULT_SIZE_CAP, ValueError),
+        (15, PartitionFilter(), DEFAULT_SIZE_CAP, SizeCapError),
+        (6, PartitionFilter(noncrossing=True), 5, SizeCapError),
+        (4, PartitionFilter(respects=SetPartition.bottom(3)), DEFAULT_SIZE_CAP, ValueError),
+        (4, PartitionFilter(allowed_block_sizes=frozenset(), respects=SetPartition.bottom(5)),
+         DEFAULT_SIZE_CAP, ValueError),
+    ]
+    for n, filt, cap, error in bad_inputs:
+        gen = enumerate_partitions(n, filt, cap)  # nothing is checked before the first step
+        with pytest.raises(error) as got:
+            next(gen)
+        with pytest.raises(error) as want:
+            next(_recursive_walk(n, filt, cap))
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        with pytest.raises(error, match=str(want.value)):
+            count_partitions(n, filt, cap)
+    with pytest.raises(ValueError):
+        riordan(-1)
+    with pytest.raises(SizeCapError):
+        riordan(15)
+    with pytest.raises(SizeCapError):
+        riordan(6, cap=5)
+    with pytest.raises(ValueError):
+        respectful_pairings(-1, 2)
+    with pytest.raises(SizeCapError):
+        respectful_pairings(4, 4)
+    with pytest.raises(SizeCapError):
+        respectful_pairings(2, 3, "noncrossing", cap=5)
+    # an empty size set yields nothing, under every other clause
+    for n in (1, 5, 14):
+        for filt in (PartitionFilter(allowed_block_sizes=()),
+                     PartitionFilter(True, frozenset(), SetPartition.top(n))):
+            assert list(enumerate_partitions(n, filt)) == []
+            assert count_partitions(n, filt) == 0
 
 
 def test_respects_matches_meet_definition():
