@@ -30,7 +30,6 @@ from . import kernels as K
 from . import laws as L
 from . import moments as M
 from . import orthopoly as O
-from . import stochsim as S
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -269,6 +268,10 @@ def cmd_stein_bound(args, cap):
 
 
 def cmd_gops(args, cap):
+    if args.m != 1:
+        # the extra-group rows of a one-law functional repeat the main group's
+        # first row, so every p_{n,m} with m >= 2 has a zero determinant
+        raise CliValidationError("m", "a one-law functional defines p_{n,m} only for m = 1", "m")
     F = _law_functional(args, 2 * args.n)
     p_det = O.gops_determinant(F, args.n, args.m)
     rep = {
@@ -342,6 +345,8 @@ _FAMILIES = {
 
 
 def cmd_simulate_invariance(args, cap):
+    from . import stochsim as S
+
     rows = S.invariance_decay_experiment(
         _FAMILIES[args.family],
         S.Sampler(args.sampler_a, seed=args.seed),
@@ -353,6 +358,8 @@ def cmd_simulate_invariance(args, cap):
 
 
 def cmd_simulate_levy(args, cap):
+    from . import stochsim as S
+
     jump = S.Sampler(args.jumps, seed=args.seed + 13)
     orders = [int(x) for x in args.orders.split(",")]
     rep = S.variations_cumulant_check(
@@ -369,6 +376,8 @@ def cmd_simulate_levy(args, cap):
 
 
 def cmd_kstat(args, cap):
+    from . import stochsim as S
+
     if args.measure == "gaussian":
         cell = S.gaussian_cell_sampler
         target = args.horizon if args.order == 2 else 0.0
@@ -479,7 +488,8 @@ def build_parser() -> UsageParser:
 
     p = subcommand("gops", "generalized orthogonal polynomial p_{nm}", law=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, default=1,
+                   help="second index of p_{n,m}; a one-law functional defines it only for m = 1 (default 1)")
     p.add_argument("--with-expectation-route", action="store_true")
 
     p = subcommand("recurrence", "Jacobi-Szego coefficients and monic OPs", law=True)

@@ -5,6 +5,12 @@ Polynomials are coefficient tuples of Fractions, lowest degree first.
 Determinants stay exact (fraction-free Bareiss on a cleared-denominator
 integer core); roots are extracted in float via the companion matrix, and
 everything past root extraction is float with verified residuals.
+
+numpy is imported inside the four routines that compute in floating point:
+``poly_roots``, ``_gauss_nodes_weights``, the real-node branch of
+``quadrature_rule`` and ``sylvester_decompose``.  Importing this module and
+every exact route (determinants, GOPs, recurrences, the discriminant by
+expansion or closed form) leave numpy unloaded.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .laws import LawSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Poly = tuple[Fraction, ...]
 
@@ -288,16 +295,20 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
 
 
 def gops_route_ratio(F: MomentFunctional, n: int, m: int) -> Fraction:
-    """Exact ratio expectation-route / determinant-route, verified constant
-    across coefficients (the proportionality constant is empirical per (n, m))."""
+    """Exact ratio expectation-route / determinant-route, which Andreief's
+    identity (Andreief 1883; Heine's formula for m = 1) fixes at r! with
+    r = n - m + 1: for each sigma in S_r, E[Delta(x_0, X) prod_j X_j^sigma_j]
+    is the moment determinant with row j shifted by sigma_j, and putting
+    those rows back in order costs the sign of sigma, so all r! terms of
+    Delta(X_1..X_r) give the determinant route.
+
+    Raises OrthopolyError unless every coefficient of the expectation route
+    is r! times the determinant route's."""
     pd = gops_determinant(F, n, m)
     pe = gops_expectation(F, n, m)
-    ratio = pe[-1] / pd[-1]
-    for a, b in zip(pe, pd):
-        if a != ratio * b:
-            raise OrthopolyError("routes disagree beyond a constant factor")
-    if ratio == 0:
-        raise DegenerateError("zero ratio between GOPs routes")
+    ratio = Fraction(math.factorial(n - m + 1))
+    if any(a != ratio * b for a, b in zip(pe, pd)):
+        raise OrthopolyError(f"expectation route is not {ratio} times the determinant route")
     return ratio
 
 
@@ -465,6 +476,8 @@ def multi_orthogonality_check(
 def poly_roots(p: Sequence[Fraction]) -> dict:
     """Roots via the (balanced) companion matrix, ordered by (Re, Im);
     simplicity means pairwise distance > ROOT_TOL."""
+    import numpy as np
+
     p = poly_trim(p)
     if poly_deg(p) < 1:
         raise OrthopolyError("degree must be >= 1")
@@ -493,6 +506,8 @@ class QuadratureRule:
 def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ...], np.ndarray]:
     """Roots of the degree-n monic orthogonal polynomial and the weights that
     solve the first n Vandermonde moment equations on them."""
+    import numpy as np
+
     pn = recurrence_coeffs(F, n)["polys"][n]
     rt = poly_roots(pn)
     if not rt["all_simple"]:
@@ -520,6 +535,8 @@ def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) ->
         )
     kind = "real-simple" if all(abs(z.imag) < ROOT_TOL for z in nodes) else "complex"
     if kind == "real-simple":
+        import numpy as np
+
         nodes = tuple(complex(z.real, 0.0) for z in nodes)
         weights = np.real(weights).astype(complex)
     return QuadratureRule(tuple(nodes), tuple(weights), 2 * n - 1, kind, max_resid)
@@ -725,6 +742,8 @@ def sylvester_decompose(
     roots of the degree-n orthogonal polynomial with Christoffel-number
     weights; this decomposition is exact and reproduces Gauss quadrature.
     """
+    import numpy as np
+
     if mode == "appel":
         m = 2 * n - 1
         nodes, weights = _gauss_nodes_weights(F, n)

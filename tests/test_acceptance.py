@@ -306,11 +306,11 @@ def test_criterion_8_orthogonality_suite():
                     continue
                 assert chk["nonvanishing_next"], (law.name, n, m)
                 ratio = gops_route_ratio(FM, n, m)
-                assert ratio != 0
+                assert ratio == math.factorial(n - m + 1), (law.name, n, m)
                 checked += 1
     report(8, checked >= 50,
            f"both GOPs routes exactly orthogonal with nonvanishing next moment and "
-           f"nonzero rational route ratio on {checked} (law,n,m) triples "
+           f"route ratio (n-m+1)! on {checked} (law,n,m) triples "
            f"({skipped} degenerate-minor cases excluded)")
 
 

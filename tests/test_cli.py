@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +14,15 @@ from hypothesis import strategies as st
 from homsum.cli import build_parser, run
 from homsum.kernels import build_kernel, kernel_to_json
 
+ROOT = Path(__file__).resolve().parents[1]
+# committed kernels: half.json is X1 X2 (f = 1/2 off the diagonal, n = 2),
+# k5.json a signed rational off-diagonal kernel on n = 5
+DATA = ROOT / "tests" / "data"
+
 
 @pytest.fixture
-def half_kernel_path(tmp_path):
-    k = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
-    p = tmp_path / "half.json"
-    p.write_text(kernel_to_json(k))
-    return str(p)
+def half_kernel_path():
+    return str(DATA / "half.json")
 
 
 def run_json(argv, tmp_path, name="out.json"):
@@ -297,6 +303,100 @@ def test_partitions_stdout_golden(argv, digest, size, capsys, monkeypatch):
     assert run(argv) == 0
     out = capsys.readouterr().out.encode()
     assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
+# sha256 and byte length of the stdout of the CLI shapes the benchmark runs,
+# recorded before numpy left the exact subcommands; run from tests/data, so the
+# echoed kernel path is the bare file name.  quadrature and discriminant
+# --method quadrature pin the float formatting that still goes through numpy
+CLI_GOLDEN = [
+    (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"],
+     "935d3686eb4abc50706893799b7c571125e741726d3391600681ea696a9b8f0b", 311),
+    (["fmt-check", "--kernel", "k5.json", "--law", "semicircle"],
+     "40e6e0c57a7811aba6cd510a5f509cf9dd149a38797236d04f19ff496671a98b", 1352),
+    (["contract", "--kernel", "k5.json", "--order", "1"],
+     "8ae2e1856b7e828499b3a323daa22332d15b7476546a6e15b841e1fccd35b724", 2682),
+    (["gops", "--law", "gaussian", "--n", "6"],
+     "a7801a0c19514e4d3d34000f6b6e8a1f9c1bf9500f4bfdb12c82218d7a43f1bd", 613),
+    (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "quadrature"],
+     "7068c8a87b027e1e3caeda039bfd9a25b4f9465880b696a603b8d09fc1836122", 315),
+    (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"],
+     "dadf60a69f217f6b414a15ec0129f6bcc9db44804a24ae7c5ca37809016da1c0", 315),
+    (["quadrature", "--law", "gaussian", "--n", "4"],
+     "7aa85fa8e0e0928958ecf919ff2f7382c527bceb8f35c520b1f5ac7edd4a4937", 872),
+]
+
+
+@pytest.mark.parametrize("argv,digest,size", CLI_GOLDEN)
+def test_benchmark_cli_shapes_stdout_golden(argv, digest, size, capsys, monkeypatch):
+    monkeypatch.delenv("HOMSUM_CAP", raising=False)
+    monkeypatch.chdir(DATA)
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("HOMSUM_CAP", None)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=DATA, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# every exact subcommand; numpy is loaded only by quadrature, sylvester,
+# discriminant --method quadrature and the three Monte Carlo subcommands
+EXACT_ARGVS = [
+    ["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"],
+    ["fmt-check", "--kernel", "k5.json", "--law", "semicircle"],
+    ["contract", "--kernel", "k5.json", "--order", "1"],
+    ["influence", "--kernel", "k5.json"],
+    ["kernel-validate", "--kernel", "k5.json", "--flavor", "free"],
+    ["fourth-moment", "--kernel", "k5.json", "--law", "rademacher"],
+    ["noncentral-check", "--kernel", "half.json", "--law", "gaussian", "--target", "gamma", "--param", "1/2"],
+    ["stein-bound", "--kernel", "half.json", "--law", "gaussian", "--abs-third-moment", "1.6"],
+    ["joint-moment", "--kernel", "k5.json", "--kernel", "k5.json", "--word", "0,1,0", "--law", "gaussian"],
+    ["partitions", "--n", "5", "--moebius"],
+    ["gops", "--law", "gaussian", "--n", "3", "--with-expectation-route"],
+    ["recurrence", "--law", "centered_poisson", "--n", "4"],
+    ["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"],
+]
+
+
+def test_exact_subcommands_run_with_numpy_unimportable():
+    # None in sys.modules makes every `import numpy` raise, which run()
+    # reports as an internal error (exit 1)
+    proc = run_python(
+        "import json, os, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import homsum.cli as cli\n"
+        "codes = [cli.run(argv + ['--output', os.devnull]) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n",
+        json.dumps(EXACT_ARGVS),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(EXACT_ARGVS), proc.stderr
+
+
+def test_import_and_moment_leave_numpy_unloaded():
+    proc = run_python(
+        "import os, sys\n"
+        "import homsum.cli as cli\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "code = cli.run(['moment', '--kernel', 'half.json', '--law', 'gaussian', '--order', '4',\n"
+        "                '--output', os.devnull])\n"
+        "print(after_import, code, 'numpy' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", "False"]
+
+
+@pytest.mark.parametrize("m", [-1, 0, 2, 5])
+def test_gops_refuses_m_other_than_1(m, tmp_path):
+    code, payload = run_json(["gops", "--law", "gaussian", "--n", "5", "--m", str(m)], tmp_path)
+    assert code == 2
+    error = payload["result"]["error"]
+    assert error["field"] == "m" and "only for m = 1" in error["message"]
 
 
 def test_unreadable_input_paths_exit_2(tmp_path, half_kernel_path):

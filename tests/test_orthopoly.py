@@ -92,7 +92,16 @@ def test_single_group_orthogonality_m1():
             p = gops_determinant(Fm, n, 1)
             chk = orthogonality_check(Fm, p, n, 1)
             assert chk["orthogonal"] and chk["nonvanishing_next"], (law.name, n)
-            assert gops_route_ratio(Fm, n, 1) != 0
+            assert gops_route_ratio(Fm, n, 1) == math.factorial(n)
+
+
+def test_route_ratio_other_than_the_andreief_constant_raises(monkeypatch):
+    import homsum.orthopoly as O
+
+    # a route off by 3 instead of 2! = 2 is a disagreement, not a new constant
+    monkeypatch.setattr(O, "gops_expectation", lambda F_, n, m: tuple(3 * c for c in gops_determinant(F_, n, m)))
+    with pytest.raises(OrthopolyError, match="not 2 times"):
+        gops_route_ratio(G, 2, 1)
 
 
 def test_single_group_higher_m_is_degenerate():
@@ -108,7 +117,7 @@ def test_multi_group_orthogonality():
             p = gops_determinant(FM, n, m)
             chk = orthogonality_check(FM, p, n, m)
             assert chk["orthogonal"], (n, m)
-            assert gops_route_ratio(FM, n, m) != 0
+            assert gops_route_ratio(FM, n, m) == math.factorial(n - m + 1)
 
 
 def test_rademacher_hankel_degeneracy_detected():
