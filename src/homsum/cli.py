@@ -281,7 +281,7 @@ def cmd_gops(args, cap):
     if args.with_expectation_route:
         p_exp = O.gops_expectation(F, args.n, args.m)
         rep["expectation_route"] = O.poly_to_strings(p_exp)
-        rep["route_ratio"] = O.gops_route_ratio(F, args.n, args.m)
+        rep["route_ratio"] = O._andreief_ratio(p_det, p_exp, args.n, args.m)
     return rep
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -418,11 +419,15 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     )
     table, den = _integer_scaled(f.values)
     units = [(i, 1) for i in range(1, f.n + 1)]
-    total = 0
+    # many pairings force the same classes of base arguments: sum each once
+    counts: Counter = Counter()
     for pairing in _walk(D, filt, cap):
         links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
-        classes = _union_classes(m * f.d, links)
-        total += _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
+        counts[tuple(map(tuple, _union_classes(m * f.d, links)))] += 1
+    total = sum(
+        c * _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
+        for classes, c in counts.items()
+    )
     return Fraction(total, den**m)
 
 

@@ -29,7 +29,8 @@ if TYPE_CHECKING:
 
 Poly = tuple[Fraction, ...]
 
-EXPECTATION_GUARD = 10**7
+# most exact determinants the expectation route may take, r!(n+1)
+EXPECTATION_GUARD = 10**4
 MONOMIAL_GUARD = 2 * 10**6
 # roots closer than this are not simple; imaginary parts below it are real nodes
 ROOT_TOL = 1e-8
@@ -113,12 +114,10 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     scale = Fraction(1)
     m: list[list[int]] = []
     for row in rows:
-        row = [Fraction(x) for x in row]
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+        row = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
         scale *= den
-        m.append([int(x * den) for x in row])
+        m.append([x.numerator * (den // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -237,37 +236,35 @@ def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
 
 def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
     """The same polynomial through the conditional-expectation form
-    E_0[Delta(X_1..X_{n-m+1}) Delta(x_0, X_1..X_n)], expanded over
-    permutations and factorized by independence.
+    E_0[Delta(X_1..X_r) Delta(x_0, X_1..X_n)] with r = n - m + 1, expanded
+    by the Andreief (Heine) identity: the expectation of a determinant with
+    independent columns is the determinant of the column expectations
+    (Andreief 1883; Deift, Orthogonal Polynomials and Random Matrices, 1999).
 
-    X_1..X_{n-m+1} follow the main group; X_{n-m+1+t} follows group t+1.
+    For each sigma in S_r, E[Delta(x_0, X) prod_{j<=r} X_j^sigma_j] is the
+    (n+1)x(n+1) determinant whose column j >= 1 holds E[X_j^(i+sigma_j)] for
+    i = 0..n (sigma_j = 0 for j > r).  Expanding it along the x_0 column
+    gives coefficient i as sum_sigma sgn(sigma) (-1)^i times the n x n minor
+    without row i: r!(n+1) exact determinants instead of r!(n+1)! moment
+    products.
+
+    X_1..X_r follow the main group; X_{r+t} follows group t.  Reads the main
+    group to order 2n - m and each extra group to order n.
     """
     if not (1 <= m <= n):
         raise OrthopolyError("need 1 <= m <= n")
     r = n - m + 1
-    if math.factorial(r) * math.factorial(n + 1) > EXPECTATION_GUARD:
-        raise OrthopolyError("permutation expansion exceeds the feasibility guard")
-
-    def group_of(j: int) -> int:
-        # X_1..X_r share group 0 and X_{r+t} (t >= 1) uses group t; F.moment
-        # reads a missing group as group 0
-        return 0 if j <= r else j - r
-
+    if math.factorial(r) * (n + 1) > EXPECTATION_GUARD:
+        raise OrthopolyError("determinant expansion exceeds the feasibility guard")
+    main = [F.moment(0, i) for i in range(n + r)]
+    extra = [[F.moment(t, i) for i in range(n + 1)] for t in range(1, m)]
     coeffs = [Fraction(0)] * (n + 1)
-    small = list(itertools.permutations(range(r)))
-    for tau in itertools.permutations(range(n + 1)):
-        sgn_tau = _perm_sign(tau)
-        # exponent of X_j (j = 0..n) from the big Vandermonde
-        for sigma in small:
-            sgn = sgn_tau * _perm_sign(sigma)
-            term = Fraction(sgn)
-            for j in range(1, n + 1):
-                e = tau[j] + (sigma[j - 1] if j <= r else 0)
-                term *= F.moment(group_of(j), e)
-                if term == 0:
-                    break
-            else:
-                coeffs[tau[0]] += term
+    for sigma in itertools.permutations(range(r)):
+        cols = [main[s:s + n + 1] for s in sigma] + extra
+        rows = list(zip(*cols))
+        sgn = _perm_sign(sigma)
+        for i in range(n + 1):
+            coeffs[i] += (-1) ** i * sgn * exact_det(rows[:i] + rows[i + 1:])
     p = poly_trim(coeffs)
     if poly_deg(p) != n:
         raise DegenerateError(
@@ -304,8 +301,12 @@ def gops_route_ratio(F: MomentFunctional, n: int, m: int) -> Fraction:
 
     Raises OrthopolyError unless every coefficient of the expectation route
     is r! times the determinant route's."""
-    pd = gops_determinant(F, n, m)
-    pe = gops_expectation(F, n, m)
+    return _andreief_ratio(gops_determinant(F, n, m), gops_expectation(F, n, m), n, m)
+
+
+def _andreief_ratio(pd: Poly, pe: Poly, n: int, m: int) -> Fraction:
+    """(n - m + 1)! when the expectation route ``pe`` is that multiple of the
+    determinant route ``pd``, coefficient by coefficient; raises otherwise."""
     ratio = Fraction(math.factorial(n - m + 1))
     if any(a != ratio * b for a, b in zip(pe, pd)):
         raise OrthopolyError(f"expectation route is not {ratio} times the determinant route")

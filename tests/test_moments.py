@@ -263,6 +263,20 @@ def test_cross_engine_chi_square_and_free_poisson_identities():
         assert wick_moment(lk, m, "free") == moment_exact(SumSpec(f, fp1), m)
 
 
+def test_wick_moment_of_an_order_two_lift_in_two_variables():
+    # He_2(N_i) He_2(N_j) and U_2(S_i) U_2(S_j): the lifted Wick value is the
+    # lattice moment of the degree-2 sum over centered chi-square(1) or free
+    # Poisson(1) entries; m = 3 sums 6040 pairings over few argument classes
+    from homsum.laws import gamma_f
+
+    f = build_kernel(3, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2)), ((1, 3), F(-1, 3)),
+                            ((3, 1), F(-1, 3)), ((2, 3), F(1, 4)), ((3, 2), F(1, 4))])
+    lk = lift(f, (2, 2))
+    for m in (1, 2, 3):
+        assert wick_moment(lk, m, "classical") == moment_exact(SumSpec(f, gamma_f(1, 14)), m)
+        assert wick_moment(lk, m, "free") == moment_exact(SumSpec(f, free_poisson_centered(1, 14)), m)
+
+
 def test_wick_matches_transformed_law_hermite_sum():
     # Hermite-sum second moment via the lifted kernel equals the lifted Wick value
     f = build_kernel(2, 1, [((1,), F(1, 2)), ((2,), F(1, 3))])

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsum.laws import (
+    builtin_law,
+    builtin_law_names,
     centered_poisson,
     free_poisson_centered,
     gamma_f,
@@ -18,6 +22,7 @@ from homsum.laws import (
     uniform_centered,
 )
 from homsum.orthopoly import (
+    EXPECTATION_GUARD,
     DegenerateError,
     MomentFunctional,
     MultiMomentFunctional,
@@ -33,6 +38,7 @@ from homsum.orthopoly import (
     multi_indices_upto,
     multi_orthogonality_check,
     orthogonality_check,
+    poly_deg,
     poly_eval,
     poly_mul,
     poly_roots,
@@ -42,6 +48,7 @@ from homsum.orthopoly import (
     recurrence_coeffs,
     sylvester_decompose,
     translated_moment_poly,
+    _perm_sign,
 )
 
 G = MomentFunctional.from_law(gaussian(1, 14))
@@ -102,6 +109,122 @@ def test_route_ratio_other_than_the_andreief_constant_raises(monkeypatch):
     monkeypatch.setattr(O, "gops_expectation", lambda F_, n, m: tuple(3 * c for c in gops_determinant(F_, n, m)))
     with pytest.raises(OrthopolyError, match="not 2 times"):
         gops_route_ratio(G, 2, 1)
+
+
+PERMUTATION_GUARD = 10**7
+
+
+def permutation_expectation(F: MomentFunctional, n: int, m: int):
+    """The expectation route as a permutation expansion, without exact_det:
+    E_0[Delta(X_1..X_{n-m+1}) Delta(x_0, X_1..X_n)], expanded over
+    permutations and factorized by independence.
+
+    X_1..X_{n-m+1} follow the main group; X_{n-m+1+t} follows group t+1.
+    """
+    if not (1 <= m <= n):
+        raise OrthopolyError("need 1 <= m <= n")
+    r = n - m + 1
+    if math.factorial(r) * math.factorial(n + 1) > PERMUTATION_GUARD:
+        raise OrthopolyError("permutation expansion exceeds the feasibility guard")
+
+    def group_of(j: int) -> int:
+        # X_1..X_r share group 0 and X_{r+t} (t >= 1) uses group t; F.moment
+        # reads a missing group as group 0
+        return 0 if j <= r else j - r
+
+    coeffs = [Fraction(0)] * (n + 1)
+    small = list(itertools.permutations(range(r)))
+    for tau in itertools.permutations(range(n + 1)):
+        sgn_tau = _perm_sign(tau)
+        # exponent of X_j (j = 0..n) from the big Vandermonde
+        for sigma in small:
+            sgn = sgn_tau * _perm_sign(sigma)
+            term = Fraction(sgn)
+            for j in range(1, n + 1):
+                e = tau[j] + (sigma[j - 1] if j <= r else 0)
+                term *= F.moment(group_of(j), e)
+                if term == 0:
+                    break
+            else:
+                coeffs[tau[0]] += term
+    p = poly_trim(coeffs)
+    if poly_deg(p) != n:
+        raise DegenerateError(
+            f"expectation route gives degree {poly_deg(p)} != {n} (degenerate moment data)"
+        )
+    return p
+
+
+def assert_routes_agree(Fm, n, m):
+    try:
+        want = permutation_expectation(Fm, n, m)
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            gops_expectation(Fm, n, m)
+    else:
+        assert gops_expectation(Fm, n, m) == want, (n, m)
+
+
+def test_expectation_route_equals_the_permutation_expansion():
+    params = {"gamma_f": {"nu": F(3)}}
+    functionals = [
+        MomentFunctional.from_law(builtin_law(name, 14, **params.get(name, {})))
+        for name in builtin_law_names()
+    ]
+    functionals.append(with_shifted_aux(gaussian(1, 14)))
+    for Fm in functionals:
+        for n in range(1, 5):
+            for m in range(1, n + 1):
+                assert_routes_agree(Fm, n, m)
+
+
+def test_expectation_route_equals_the_permutation_expansion_on_bench_shapes():
+    gauss = MomentFunctional.from_law(gaussian(1, 14))
+    assert_routes_agree(gauss, 5, 1)
+    assert_routes_agree(MomentFunctional.from_law(gaussian(1, 14), centered_poisson(2, 14)), 5, 2)
+    extras = (centered_poisson(2, 14), gamma_f(F(3), 14), uniform_centered(14))
+    assert_routes_agree(MomentFunctional.from_law(gaussian(1, 14), *extras), 6, 4)
+
+
+def test_degenerate_data_raises_on_both_routes():
+    Fm = MomentFunctional.from_law(rademacher(14))
+    with pytest.raises(DegenerateError):
+        permutation_expectation(Fm, 3, 1)
+    with pytest.raises(DegenerateError):
+        gops_expectation(Fm, 3, 1)
+
+
+def test_expectation_guard_admits_every_shape_the_permutation_guard_did():
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            r = n - m + 1
+            if math.factorial(r) * math.factorial(n + 1) <= PERMUTATION_GUARD:
+                assert math.factorial(r) * (n + 1) <= 5040 <= EXPECTATION_GUARD, (n, m)
+
+
+def test_expectation_guard_refuses_before_any_determinant(monkeypatch):
+    import homsum.orthopoly as O
+
+    def no_det(rows):
+        raise AssertionError("determinant work before the guard")
+
+    monkeypatch.setattr(O, "exact_det", no_det)
+    # 7! * 8 = 40320 determinants
+    with pytest.raises(OrthopolyError, match="guard"):
+        gops_expectation(G, 7, 1)
+
+
+def test_expectation_route_reads_each_group_to_its_order():
+    n, m = 4, 2
+    main = gaussian(1, 14).moments
+    extra = centered_poisson(2, 14).moments
+    want = gops_expectation(MomentFunctional((main, extra)), n, m)
+    # the main group to order 2n - m, each extra group to order n
+    assert gops_expectation(MomentFunctional((main[:2 * n - m + 1], extra[:n + 1])), n, m) == want
+    with pytest.raises(OrthopolyError, match="need 6"):
+        gops_expectation(MomentFunctional((main[:2 * n - m], extra)), n, m)
+    with pytest.raises(OrthopolyError, match="need 4"):
+        gops_expectation(MomentFunctional((main, extra[:n])), n, m)
 
 
 def test_single_group_higher_m_is_degenerate():
