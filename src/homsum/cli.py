@@ -314,6 +314,8 @@ def cmd_quadrature(args, cap):
 
 
 def cmd_discriminant(args, cap):
+    if args.method == "lu_gaussian" and args.law != "gaussian":
+        raise CliValidationError("method", "lu_gaussian is the Gaussian closed form; it needs --law gaussian", "method")
     need = 2 * (args.k * (args.N - 1) + 1)
     F = _law_functional(args, need)
     val = O.discriminant_moment(F, args.N, args.k, args.method)
@@ -379,12 +381,16 @@ def cmd_kstat(args, cap):
     from . import stochsim as S
 
     if args.measure == "gaussian":
+        for flag in ("rate", "jumps"):
+            if getattr(args, flag) is not None:
+                raise CliValidationError(flag, f"--{flag} applies to --measure compound_poisson only", flag)
         cell = S.gaussian_cell_sampler
         target = args.horizon if args.order == 2 else 0.0
     else:  # compound_poisson
-        jump = S.Sampler(args.jumps, seed=args.seed)
-        cell = S.compound_poisson_cell_sampler(args.rate, jump.draw_from)
-        target = args.horizon * args.rate * float(jump.law_spec(max(8, 2 * args.order)).moment(args.order))
+        rate = 2.0 if args.rate is None else args.rate
+        jump = S.Sampler("rademacher" if args.jumps is None else args.jumps, seed=args.seed)
+        cell = S.compound_poisson_cell_sampler(rate, jump.draw_from)
+        target = args.horizon * rate * float(jump.law_spec(max(8, 2 * args.order)).moment(args.order))
     return S.kstat_experiment(cell, target, args.order, args.refinement, args.paths, args.horizon, args.seed)
 
 
@@ -501,12 +507,14 @@ def build_parser() -> UsageParser:
     p = subcommand("discriminant", "E[Delta^(2k)] by quadrature/expansion/closed form", law=True)
     p.add_argument("--N", type=int, required=True, help="sample size")
     p.add_argument("--k", type=int, required=True, help="half the Vandermonde power")
-    p.add_argument("--method", choices=["expansion", "quadrature", "lu_gaussian"], default="expansion")
+    p.add_argument("--method", choices=["expansion", "quadrature", "lu_gaussian"], default="expansion",
+                   help="default expansion; lu_gaussian needs --law gaussian")
 
     p = subcommand("sylvester", "Sylvester power-sum decompositions", law=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sylvester-mode", choices=["discriminant", "appel"], default="discriminant")
+    p.add_argument("--sylvester-mode", choices=["discriminant", "appel"], default="discriminant",
+                   help="default discriminant; appel needs --k 1")
 
     p = subcommand("simulate-invariance", "invariance-decay trajectory experiment", seed=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), default="offdiag")
@@ -529,8 +537,10 @@ def build_parser() -> UsageParser:
     p.add_argument("--refinement", type=int, default=100)
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument("--jumps", default="rademacher")
+    p.add_argument("--rate", type=float, default=None,
+                   help="jump rate of --measure compound_poisson only (default 2.0)")
+    p.add_argument("--jumps", default=None,
+                   help="jump sampler law of --measure compound_poisson only (default rademacher)")
     return parser
 
 

@@ -11,10 +11,10 @@ Two independent routes compute every moment:
 
 One primitive, :func:`_block_sum`, evaluates the index sum of a single
 lattice partition: over every map from its blocks to [n], the product of the
-factors' kernel entries times per-block weights.  Its three callers are
-:func:`joint_moment` (weights: each index's cumulant of the block's size),
-the class terms of :func:`fourth_moment_formula` and the pairings of
-:func:`wick_moment` (unit weights).  The oracle never uses it.
+factors' kernel entries times per-block weights.  Its two callers are
+:func:`joint_moment` (weights: each index's cumulant of the block's size)
+and the pairings of :func:`wick_moment` (unit weights).  The oracle never
+uses it.
 
 The primitive works on integers.  Once per call, each caller scales every
 kernel and every cumulant row to integers over its own common denominator
@@ -48,6 +48,7 @@ from .partitions import (
     SetPartition,
     _union_classes,
     _walk,
+    respectful_pairings,
 )
 
 ORACLE_TUPLE_GUARD = 10**7
@@ -108,8 +109,8 @@ def _respectful_blocks(
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Cached enumeration of the partitions entering a lattice moment sum:
     they respect the factor-interval partition and use only the block sizes
-    in ``sizes`` (those carrying a nonzero cumulant, or {2, 4} for the
-    fourth-moment classes), as block tuples in restricted-growth order."""
+    in ``sizes`` (those carrying a nonzero cumulant), as block tuples in
+    restricted-growth order."""
     filt = PartitionFilter(
         noncrossing=noncrossing,
         allowed_block_sizes=sizes,
@@ -444,30 +445,29 @@ def _standard_fourth(g: Kernel, kind: str, cap: int) -> Fraction:
     return moment_exact(SumSpec(g, law), 4, cap)
 
 
-def _fourth_classes(f: Kernel, cap: int) -> tuple[Fraction, tuple[Fraction, ...], tuple[int, ...]]:
-    """The classical fourth-moment class sums of f from one enumeration.
-
-    A respectful partition of four copies of f's d positions into blocks of
-    sizes 2 and 4 has class (4^m, 2^(2(d-m))), m being its number of
-    4-blocks.  Returns the m = 0 sum over the pairings, which is E[Q(f)^4]
-    over standard Gaussian entries, then the sums and the partition counts
-    of the classes m = 1..d.
-    """
-    if f.mode != "exact":
-        raise ValueError("exact moments require exact-mode kernels")
+def _fourth_class_sums(f: Kernel, cap: int) -> tuple[Fraction, tuple[Fraction, ...], tuple[int, ...]]:
+    """E[Q(f)^4] over standard Gaussian entries, then the classical class sums
+    C_1..C_d and class counts of :func:`fourth_moment_formula`."""
+    base = _standard_fourth(f, "classical", cap)
     d = f.d
-    if 4 * d > cap:
-        raise FeasibilityError(f"total degree {4 * d} exceeds the partition cap {cap}")
-    table, den = _integer_scaled(f.values)
-    units = [(i, 1) for i in range(1, f.n + 1)]
-    sums = [0] * (d + 1)
-    counts = [0] * (d + 1)
-    for blocks in _respectful_blocks((d,) * 4, False, frozenset({2, 4}), cap):
-        m = sum(len(b) == 4 for b in blocks)
-        sums[m] += _block_sum((table,) * 4, (d,) * 4, blocks, [units] * len(blocks))
-        counts[m] += 1
-    terms = [Fraction(s, den**4) for s in sums]
-    return terms[0], tuple(terms[1:]), tuple(counts[1:])
+    # g: the average of f over all d! orders of its arguments
+    sym: dict[tuple[int, ...], Fraction] = {}
+    for idx, v in f.values.items():
+        v /= math.factorial(d)
+        for perm in itertools.permutations(idx):
+            sym[perm] = sym.get(perm, 0) + v
+    g = Kernel(f.n, d, {k: v for k, v in sym.items() if v}, f.mode)
+    terms, counts = [], []
+    for m in range(1, d + 1):
+        acc = Fraction(0)
+        for j in itertools.combinations(range(1, f.n + 1), m):
+            s = slice_kernel(g, j)
+            if s.values:
+                acc += _standard_fourth(s, "classical", cap)
+        coeff = math.comb(d, m) ** 4 * math.factorial(m) ** 3
+        terms.append(coeff * math.factorial(m) * acc)
+        counts.append(coeff * respectful_pairings(d - m, 4, cap=cap))
+    return base, tuple(terms), tuple(counts)
 
 
 def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
@@ -476,13 +476,19 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
 
     Free kind: phi(Q_Y^4) = phi(Q_S^4) + kappa_4(Y) * sum_k phi(Q_S(f(k,.))^4)
     (the respectful partitions with blocks of size 2 or 4 carry exactly one
-    4-block).  Classical kind: one enumeration of the respectful partitions
-    with blocks of size 2 or 4 gives every class (4^m, 2^(2(d-m))): m = 0 is
-    the Gaussian term and the class sums m = 1..d are the chi_4^m
-    coefficients.  The literature closed form binom(d,m)^4 m!^4 * slice sums is
-    evaluated alongside for comparison but never used as the value (at
-    m = d = 2 enumeration yields 8 such partitions against the closed form's
-    16, and the brute-force oracle sides with the enumeration).
+    4-block).
+
+    Classical kind: E[Q_X^4] = E[Q_N^4] + sum_{m=1..d} chi_4^m C_m.  C_m sums
+    the respectful partitions of four copies of f's d positions into m blocks
+    of size 4 and 2(d-m) of size 2; by the closed form (Nourdin, Peccati &
+    Reinert 2010), with g the symmetrization of f,
+
+        C_m = binom(d,m)^4 m!^4 sum_{j_1 < ... < j_m} E[Q_N(g(j,.))^4]
+
+    over binom(d,m)^4 m!^3 |P2*((d-m)^{x4})| partitions (choose each copy's
+    m positions in 4-blocks, match them across copies, pair the rest).  It
+    holds for every f because Q(f) = Q(sym f), and it sums over index sets
+    because each set occurs as m! ordered tuples with equal slices of g.
     """
     if not spec.iid:
         raise AssumptionError(
@@ -515,31 +521,15 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     if law.moment(3) != 0:
         raise AssumptionError("classical decomposition assumes E[X^3] = 0")
     chi4 = law.cumulant(4)
-    base, class_terms, class_counts = _fourth_classes(f, cap)
+    base, class_terms, class_counts = _fourth_class_sums(f, cap)
 
-    closed_form_terms: list[Fraction] = []
-    for m in range(1, d + 1):
-        coeff = Fraction(math.comb(d, m) ** 4 * math.factorial(m) ** 4)
-        acc = Fraction(0)
-        for j in itertools.product(range(1, f.n + 1), repeat=m):
-            g = slice_kernel(f, j)
-            if g.values or g.d == 0:
-                acc += _standard_fourth(g, "classical", cap)
-        closed_form_terms.append(coeff * acc)
-
-    total = base
-    for m in range(1, d + 1):
-        total += chi4**m * class_terms[m - 1]
+    total = base + sum(chi4**m * c for m, c in enumerate(class_terms, 1))
     return {
         "kind": "classical",
         "gaussian_term": base,
         "chi4": chi4,
         "class_terms": class_terms,
         "class_counts": class_counts,
-        "closed_form_terms": tuple(closed_form_terms),
-        "closed_form_matches": tuple(
-            a == b for a, b in zip(class_terms, closed_form_terms)
-        ),
         "total": total,
     }
 
@@ -554,7 +544,7 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
 
         E[Q_X^4] - 3 >= (E[Q_N^4] - 3) + A * sum_m C_m,
 
-    where C_m are the enumeration class sums of the decomposition.  The
+    where C_m are the class sums of :func:`fourth_moment_formula`.  The
     report carries both sides and the verdict.
     """
     if spec.iid:
@@ -573,7 +563,7 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
     d = f.d
     lo = min(chi4s)
     A = min(lo**m for m in range(1, d + 1))
-    base, class_terms, _ = _fourth_classes(f, cap)
+    base, class_terms, _ = _fourth_class_sums(f, cap)
     class_sum = sum(class_terms, Fraction(0))
     m4 = moment_exact(spec, 4, cap)
     var = moment_exact(spec, 2, cap)
@@ -597,8 +587,8 @@ def quadratic_fourth_moment_gap(f: Kernel, law_a: LawSpec, law_b: LawSpec) -> Fr
         C_1 = 48 sum_k (sum_j f(k,j)^2)^2,   C_2 = 8 sum f^4,
 
     so the gap is (chi4_A - chi4_B) C_1 + (chi4_A^2 - chi4_B^2) C_2.  The
-    class sums are the enumeration-backed coefficients of the fourth-moment
-    decomposition (cross-checked against the lattice engine in the tests);
+    class sums are those of :func:`fourth_moment_formula` at d = 2
+    (cross-checked against the lattice engine in the tests);
     this form is O(n^2) and serves the large-n trajectory experiments.
     """
     if f.d != 2:

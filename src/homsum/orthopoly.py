@@ -616,6 +616,19 @@ def _vandermonde_power(N: int, power: int, extra_vars: int = 0) -> MultiPoly:
     return acc
 
 
+def _independent_expectations(poly: MultiPoly, F: MomentFunctional, n: int):
+    """Take the expectation of each monomial of ``poly`` over its first n
+    variables, i.i.d. under the main law, by independence: yields (the
+    exponents of the remaining variables, the monomial's expectation)."""
+    for exps, coeff in poly.items():
+        term = coeff
+        for e in exps[:n]:
+            term *= F.moment(0, e)
+            if term == 0:
+                break
+        yield exps[n:], term
+
+
 def discriminant_moment(
     F: MomentFunctional,
     N: int,
@@ -635,16 +648,8 @@ def discriminant_moment(
     if N < 1 or k < 1:
         raise OrthopolyError("need N >= 1 and k >= 1")
     if method == "expansion":
-        poly = _vandermonde_power(N, 2 * k)
-        total = Fraction(0)
-        for exps, coeff in poly.items():
-            term = coeff
-            for e in exps:
-                term *= F.moment(0, e)
-                if term == 0:
-                    break
-            total += term
-        return total
+        terms = _independent_expectations(_vandermonde_power(N, 2 * k), F, N)
+        return sum((term for _, term in terms), Fraction(0))
     if method == "quadrature":
         n = k * (N - 1) + 1
         rule = quadrature_rule(F, n)
@@ -691,15 +696,9 @@ def discriminant_product_poly(F: MomentFunctional, n: int, k: int) -> Poly:
         lin = {tuple(ei): one, tuple(ex): -one}
         for _ in range(2 * k - 1):
             acc = _mp_mul(acc, lin)
-    m = n * (2 * k - 1)
-    coeffs = [Fraction(0)] * (m + 1)
-    for exps, coeff in acc.items():
-        term = coeff
-        for e in exps[:n]:
-            term *= F.moment(0, e)
-            if term == 0:
-                break
-        coeffs[exps[n]] += term
+    coeffs = [Fraction(0)] * (n * (2 * k - 1) + 1)
+    for (power,), term in _independent_expectations(acc, F, n):
+        coeffs[power] += term
     return poly_trim(coeffs)
 
 
@@ -736,16 +735,19 @@ def sylvester_decompose(
     mode='discriminant': decompose p_{n,k} over the roots of the translated
     moment polynomial A_m, m = n(2k-1): solve the power sums
     sum_j c_j r_j^p = b_p for p = 0..m-1 and verify the held-out p = m
-    equation; the weight sum equals E[Delta(X_1..X_n)^{2k}] (cross-checked
-    against the expansion oracle).
+    equation; the weight sum equals E[Delta(X_1..X_n)^{2k}], which is
+    (-1)^m times the leading coefficient of p_{n,k} (the ``target``).
 
     mode='appel' (the k' = 1 classical case): decompose A_{2n-1} over the
     roots of the degree-n orthogonal polynomial with Christoffel-number
     weights; this decomposition is exact and reproduces Gauss quadrature.
+    It is defined for k = 1 only.
     """
     import numpy as np
 
     if mode == "appel":
+        if k != 1:
+            raise OrthopolyError("the appel decomposition is defined for k = 1 only")
         m = 2 * n - 1
         nodes, weights = _gauss_nodes_weights(F, n)
         a_poly = translated_moment_poly(F, m)
@@ -783,7 +785,8 @@ def sylvester_decompose(
     weights = np.linalg.solve(M, rhs)
     top = sum(w * node**m for w, node in zip(weights, nodes))
     residual = abs(top - float(b[m]))
-    target = discriminant_moment(F, n, k, method="expansion")
+    # the x^m coefficient of p_{n,k} is (-1)^m E[Delta^{2k}]
+    target = (-1) ** m * pnk[m] if m < len(pnk) else Fraction(0)
     wsum = complex(sum(weights))
     return SylvesterDecomposition(
         "discriminant", m, pnk, tuple(nodes), tuple(complex(w) for w in weights),

@@ -228,7 +228,7 @@ def test_criterion_5_free_fourth_moment_linearity():
            "random symmetric kernels (n<=4, d<=3), Y in {free_poisson(1), free_rademacher}")
 
 
-def test_criterion_6_classical_decomposition_and_discrepancy():
+def test_criterion_6_classical_decomposition_and_discrepancy(fourth_class_referee):
     checked = 0
     for law in (gaussian(1, 10), rademacher(10)):  # the m3 = 0 laws of the grid
         for n in (2, 3):
@@ -238,21 +238,23 @@ def test_criterion_6_classical_decomposition_and_discrepancy():
                         continue
                     rec = fourth_moment_formula(SumSpec(kern, law))
                     assert rec["total"] == moment_exact(SumSpec(kern, law), 4), (law.name, n, d)
-                    assert "closed_form_terms" in rec and "closed_form_matches" in rec
+                    assert (rec["gaussian_term"], rec["class_terms"], rec["class_counts"]) == \
+                        fourth_class_referee(kern)[:3], (law.name, n, d)
                     checked += 1
-    # the d = m = 2 investigation: 8 respectful (4,4)-partitions, not 16;
-    # brute force at n = 2 gives (3 + chi4)^2, siding with the enumeration
+    # d = m = 2: 8 respectful (4,4)-partitions, and the closed form over
+    # index sets gives the enumeration's class sum; brute force at n = 2
+    # gives (3 + chi4)^2
     half = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
     rec = fourth_moment_formula(SumSpec(half, rademacher(10)))
     assert rec["class_counts"][1] == 8
-    assert rec["closed_form_terms"][1] == 2 * rec["class_terms"][1]
+    assert (rec["gaussian_term"], rec["class_terms"], rec["class_counts"]) == fourth_class_referee(half)[:3]
     chi4 = rademacher(10).cumulant(4)
     assert moment_oracle(SumSpec(half, rademacher(10)), 4) == (3 + chi4) ** 2
     assert rec["total"] == (3 + chi4) ** 2
     report(6, True,
-           f"enumeration class terms reproduce E[Q^4] exactly on {checked} specs; "
-           "d=m=2 check: 8 respectful (4,4)-partitions vs closed-form 16, oracle "
-           "(3+chi4)^2 sides with enumeration")
+           f"closed-form class terms equal the per-class enumeration and reproduce "
+           f"E[Q^4] exactly on {checked} specs; d=m=2: 8 respectful (4,4)-partitions, "
+           "oracle (3+chi4)^2")
 
 
 def test_criterion_7_counting_identities():

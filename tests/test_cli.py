@@ -111,6 +111,7 @@ def test_fourth_moment_and_fmt(half_kernel_path, tmp_path):
     )
     assert code == 0
     assert payload["result"]["class_counts"] == [48, 8]
+    assert set(payload["result"]) == {"kind", "gaussian_term", "chi4", "class_terms", "class_counts", "total"}
     code, payload = run_json(
         ["fmt-check", "--kernel", half_kernel_path, "--law", "gaussian"], tmp_path
     )
@@ -188,6 +189,43 @@ def test_sylvester_subcommand(tmp_path):
     assert code == 0
     ws = sorted(r["weight_re"] for r in payload["result"]["rows"])
     assert all(abs(w - 0.5) < 1e-9 for w in ws)
+
+
+def test_lu_gaussian_needs_the_gaussian_law(tmp_path):
+    # the closed form is Gaussian: under rademacher it would print 12 for 8
+    for law in (["--law", "rademacher"], []):
+        code, payload = run_json(["discriminant", *law, "--N", "2", "--k", "2", "--method", "lu_gaussian"], tmp_path)
+        assert code == 2 and payload["result"]["error"]["field"] == "method"
+    values = []
+    for method in ("lu_gaussian", "expansion"):
+        code, payload = run_json(["discriminant", "--law", "gaussian", "--law-param", "sigma2=2",
+                                  "--N", "2", "--k", "2", "--method", method], tmp_path)
+        assert code == 0
+        values.append(payload["result"]["value"])
+    assert values == ["48/1", "48/1"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sylvester", "--law", "gaussian", "--n", "2", "--sylvester-mode", "appel", "--k", "2"], ""),
+    (["kstat", "--measure", "gaussian", "--rate", "9", "--paths", "20", "--refinement", "5"], "rate"),
+    (["kstat", "--jumps", "gaussian", "--paths", "20", "--refinement", "5"], "jumps"),
+])
+def test_flags_a_run_would_ignore_exit_2(argv, field, tmp_path):
+    code, payload = run_json(argv, tmp_path)
+    assert code == 2 and payload["result"]["error"]["field"] == field
+
+
+def test_kstat_compound_poisson_defaults(tmp_path, capsys):
+    base = ["kstat", "--measure", "compound_poisson", "--order", "3", "--paths", "50", "--refinement", "10"]
+    outputs = []
+    for extra in ([], ["--rate", "2.0", "--jumps", "rademacher"]):
+        assert run(base + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit):
+        run(["kstat", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default 2.0)" in text and "(default rademacher)" in text
 
 
 def test_simulation_subcommands(tmp_path):

@@ -28,8 +28,7 @@ from homsum.moments import (
     FeasibilityError,
     SumSpec,
     _block_sum,
-    _fourth_classes,
-    _integer_scaled,
+    _fourth_class_sums,
     _standard_fourth,
     fmt_report,
     fourth_moment_formula,
@@ -42,7 +41,7 @@ from homsum.moments import (
     stein_wasserstein_bound,
     wick_moment,
 )
-from homsum.partitions import PartitionFilter, enumerate_partitions, interval_partition, respectful_pairings
+from homsum.partitions import respectful_pairings
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -346,43 +345,45 @@ def test_free_fourth_moment_linearity_random_symmetric():
             assert lhs == rhs
 
 
-def test_classical_fourth_moment_formula_and_discrepancy():
+def test_classical_fourth_moment_formula_and_discrepancy(fourth_class_referee):
     # totals agree with the lattice engine for m3 = 0 laws
     for law in (gaussian(1, 10), rademacher(10)):
         rec = fourth_moment_formula(SumSpec(HALF, law))
         assert rec["total"] == moment_exact(SumSpec(HALF, law), 4)
     rec = fourth_moment_formula(SumSpec(HALF, rademacher(10)))
-    # d = m = 2: enumeration finds 8 respectful class-(4,4) partitions, not 16;
-    # the closed-form coefficient binom(2,2)^4 2!^4 would double the term
+    # d = m = 2: 8 respectful class-(4,4) partitions; the closed form sums the
+    # one index set {1, 2}, with coefficient binom(2,2)^4 2!^4 / 2!
     assert rec["class_counts"] == (48, 8)
     assert rec["class_terms"][1] == 1
-    assert rec["closed_form_terms"][1] == 2
-    assert rec["closed_form_matches"] == (True, False)
+    assert (rec["gaussian_term"], rec["class_terms"], rec["class_counts"]) == fourth_class_referee(HALF)[:3]
     # oracle arbitration: E[Q^4] = (3 + chi4)^2 at n = 2
     chi4 = rademacher(10).cumulant(4)
     assert moment_oracle(SumSpec(HALF, rademacher(10)), 4) == (3 + chi4) ** 2
 
 
-def test_fourth_classes_match_a_per_class_referee():
-    # referee: enumerate the {2,4} respectful partitions of four copies,
-    # group them by their block-size census and sum each group on its own
+def nonsymmetric_random(n, d, rnd, density=0.8):
+    entries = []
+    for p in itertools.permutations(range(1, n + 1), d):
+        if rnd.random() < density:
+            entries.append((p, F(rnd.randint(-3, 3), rnd.randint(1, 4))))
+    return build_kernel(n, d, entries)
+
+
+def test_fourth_classes_match_a_per_class_referee(fourth_class_referee):
+    # the closed form over index sets against the per-class enumeration of
+    # the {2,4} respectful partitions of four copies, symmetric or not
     rnd = random.Random(11)
-    for d, n in ((1, 4), (2, 4), (3, 3)):
-        k = symmetric_random(n, d, rnd, density=1.0)
-        table, den = _integer_scaled(k.values)
-        units = [(i, 1) for i in range(1, n + 1)]
-        filt = PartitionFilter(allowed_block_sizes={2, 4}, respects=interval_partition(d, 4))
-        sums, counts = {}, {}
-        for p in enumerate_partitions(4 * d, filt):
-            cls = p.partition_class()
-            counts[cls] = counts.get(cls, 0) + 1
-            sums[cls] = sums.get(cls, 0) + _block_sum((table,) * 4, (d,) * 4, p.blocks, [units] * len(p))
-        classes = [(4,) * m + (2,) * (2 * (d - m)) for m in range(1, d + 1)]
-        base, terms, got_counts = _fourth_classes(k, 14)
+    shapes = [(4, 1), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3)]
+    kernels = [symmetric_random(n, d, rnd, density=1.0) for n, d in shapes]
+    kernels += [nonsymmetric_random(n, d, rnd) for n, d in shapes]
+    kernels.append(nonsymmetric_random(4, 3, rnd, density=0.5))  # sparse: d = 3 block sums are slow
+    for k in kernels:
+        base, terms, got_counts = _fourth_class_sums(k, 14)
+        ref_base, ref_terms, ref_counts, census = fourth_class_referee(k)
         assert base == _standard_fourth(k, "classical", 14)
-        assert got_counts == tuple(counts[c] for c in classes)
-        assert terms == tuple(F(sums[c], den**4) for c in classes)
-        assert sum(counts.values()) == sum(got_counts) + counts[(2,) * (2 * d)]
+        assert (base, terms, got_counts) == (ref_base, ref_terms, ref_counts), (k.n, k.d)
+        assert sum(census.values()) == sum(got_counts) + census[(2,) * (2 * k.d)]
+    assert sum(k.is_symmetric is False for k in kernels) >= 6
 
 
 def test_classical_formula_rejects_nonzero_third_moment():

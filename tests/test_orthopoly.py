@@ -384,6 +384,23 @@ def test_sylvester_discriminant_mode():
     assert d31.consistent and abs(d31.weight_sum.real - want) < 1e-6
 
 
+def test_sylvester_target_is_the_expansion_moment():
+    # the target is read off the leading coefficient of p_{n,k}; it is 0
+    # where p_{n,k} is trimmed below degree m (rademacher at n >= 3)
+    params = {"gamma_f": {"nu": F(3)}}
+    for name in builtin_law_names():
+        Fm = MomentFunctional.from_law(builtin_law(name, 14, **params.get(name, {})))
+        for n, k in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
+            dec = sylvester_decompose(Fm, n, k, mode="discriminant")
+            assert dec.target == discriminant_moment(Fm, n, k, "expansion"), (name, n, k)
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_sylvester_appel_refuses_k_other_than_1(k):
+    with pytest.raises(OrthopolyError, match="k = 1"):
+        sylvester_decompose(G, 2, k, mode="appel")
+
+
 def test_p22_polynomial_against_numeric_integration():
     # independent check of the x^2 coefficient of p_{2,2}: 40-node
     # Gauss-Hermite integration of E[(X1-x)^3 (X2-x)^3 (X1-X2)^4]
