@@ -2,11 +2,10 @@
 
 Moments and cumulants are tied together by the partition-lattice formulas:
 the n-th raw moment is the sum over partitions of [n] (non-crossing
-partitions in the free case) of products of per-block cumulants, and the
-inverse direction is a triangular back-substitution on the same sums.  One
-code path serves both.  It sums over block-size classes with closed-form
-multiplicities and never enumerates a set partition, so the partition size cap
-does not bound it; a fixed order limit does.
+partitions in the free case) of products of per-block cumulants.  Law
+conversion and joint cumulants solve them by the first-block recursion, which
+enumerates neither set partitions nor block-size classes; a fixed order limit
+bounds the conversion and the partition size cap the joint cumulant.
 """
 
 from __future__ import annotations
@@ -18,19 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .partitions import (
-    DEFAULT_SIZE_CAP,
-    PartitionFilter,
-    enumerate_partitions,
-    moebius_to_top,
-    respectful_pairings,
-)
+from .partitions import DEFAULT_SIZE_CAP, _check_cap, respectful_pairings
 
 DEFAULT_MAX_ORDER = 10
-# Law files and the CLI's --n/--N/--k set the conversion order from outside.
-# The class sums grow with the number of integer partitions of each order
-# (5604 of 30): order 30 converts in about a second, cold, and a larger order
-# is refused rather than left to run for minutes.
+# Law files and the CLI's --n/--N/--k set the conversion order from outside,
+# so it is bounded.  The free recursion takes O(N^3) operations on rationals
+# that grow with N: order 30 converts in tens of milliseconds, order 120 in
+# seconds.  The limit stays at 30, the refusal point the README documents.
 CONVERT_MAX_ORDER = 30
 
 
@@ -58,6 +51,8 @@ class LawSpec:
             raise LawError("kind must be 'classical' or 'free'")
         if not self.moments or self.moments[0] != 1:
             raise LawError("moments[0] must be 1")
+        if len(self.cumulants) != len(self.moments):
+            raise LawError("moments and cumulants must run to the same order")
 
     @property
     def max_order(self) -> int:
@@ -89,6 +84,9 @@ def _integer_partitions(n: int, max_part: Optional[int] = None):
 def _partition_classes(n: int, kind: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Block-size classes of P([n]) or NC([n]) with exact multiplicities.
 
+    Only the tests' class-sum referee of :func:`convert` reads this table;
+    the benchmark harness reads its cache counters.
+
     A class lambda = (1^{r_1} 2^{r_2} ...) occurs n! / prod_j (j!^{r_j} r_j!)
     times among set partitions, and n! / ((n-b+1)! prod_j r_j!) times among
     non-crossing partitions (b = number of blocks).
@@ -114,53 +112,55 @@ def _partition_classes(n: int, kind: str) -> tuple[tuple[tuple[int, ...], int], 
 
 
 def convert(seq: Sequence[Fraction], direction: str, kind: str) -> tuple[Fraction, ...]:
-    """Convert between moments and cumulants by partition summation:
-    m_n = sum over partitions of [n] (non-crossing partitions for the free
-    kind) of per-block cumulant products, aggregated over block-size classes
-    with exact multiplicities; the inverse direction is the triangular
-    back-substitution of the same sums.  No set partition is enumerated;
-    orders above CONVERT_MAX_ORDER are refused.
+    """Convert between moments and cumulants by the first-block recursion.
+
+    Splitting off the block of 1, of size s, gives m_n = kappa_n +
+    sum_{s<n} kappa_s c(n, s), with c(n, s) = C(n-1, s-1) m_{n-s} for the
+    classical kind (Speed 1983) and c(n, s) = [z^{n-s}] M(z)^s, M(z) =
+    sum_k m_k z^k, for the free kind (Nica & Speicher 2006, Lecture 11).
+    The free power coefficients are tabled as each m_n becomes known.  One
+    loop serves both directions: O(N^2) Fraction operations (classical),
+    O(N^3) (free); orders above CONVERT_MAX_ORDER are refused.
 
     ``seq`` is indexed from 0; for 'moments_to_cumulants' seq[0] must be 1,
     for 'cumulants_to_moments' seq[0] is ignored (placeholder).
     """
     if kind not in ("classical", "free"):
         raise LawError("kind must be 'classical' or 'free'")
+    if len(seq) == 0:
+        raise LawError("the sequence needs its order-0 entry")
     N = len(seq) - 1
     if N > CONVERT_MAX_ORDER:
         raise LawError(f"order {N} exceeds the conversion limit {CONVERT_MAX_ORDER}")
-
-    def class_sum(cums: list[Fraction], n: int, skip_top: bool) -> Fraction:
-        total = Fraction(0)
-        for lam, mult in _partition_classes(n, kind):
-            if skip_top and len(lam) == 1:
-                continue
-            term = Fraction(mult)
-            for part in lam:
-                term *= cums[part]
-                if term == 0:
-                    break
-            total += term
-        return total
-
-    if direction == "cumulants_to_moments":
-        cums = [Fraction(0)] + [Fraction(x) for x in seq[1:]]
-        moments = [Fraction(1)]
-        for n in range(1, N + 1):
-            moments.append(class_sum(cums, n, skip_top=False))
-        return tuple(moments)
-
-    if direction == "moments_to_cumulants":
-        if seq[0] != 1:
+    given = [Fraction(x) for x in seq]
+    to_moments = direction == "cumulants_to_moments"
+    if to_moments:
+        moms, cums = [Fraction(1)], [Fraction(0)] + given[1:]
+    elif direction == "moments_to_cumulants":
+        if given[0] != 1:
             raise LawError("moments[0] must be 1")
-        moments = [Fraction(x) for x in seq]
-        cums: list[Fraction] = [Fraction(0)]
-        for n in range(1, N + 1):
-            cums.append(Fraction(0))  # placeholder so class_sum can index it
-            cums[n] = moments[n] - class_sum(cums, n, skip_top=True)
-        return tuple(cums)
+        moms, cums = given, [Fraction(0)]
+    else:
+        raise LawError("direction must be 'moments_to_cumulants' or 'cumulants_to_moments'")
 
-    raise LawError("direction must be 'moments_to_cumulants' or 'cumulants_to_moments'")
+    powers = [None, moms]  # free: powers[s][k] = [z^k] M(z)^s, M^1 = moms
+    for n in range(1, N + 1):
+        if kind == "classical":
+            lower = sum(
+                math.comb(n - 1, s - 1) * cums[s] * moms[n - s] for s in range(1, n) if cums[s] and moms[n - s]
+            )
+        else:
+            if n >= 3:
+                powers.append([Fraction(1)])  # M^(n-1) enters at [z^0] = 1
+            for s in range(2, n):
+                prev, k = powers[s - 1], n - s
+                powers[s].append(sum(prev[i] * moms[k - i] for i in range(k + 1) if prev[i] and moms[k - i]))
+            lower = sum(cums[s] * powers[s][n - s] for s in range(1, n) if cums[s])
+        if to_moments:
+            moms.append(cums[n] + lower)
+        else:
+            cums.append(moms[n] - lower)
+    return tuple(moms if to_moments else cums)
 
 
 def _law_from_cumulants(name, kind, cums, max_order) -> LawSpec:
@@ -294,6 +294,8 @@ def builtin_law(name: str, max_order: int = DEFAULT_MAX_ORDER, **params) -> LawS
         ctor = _BUILTIN[name]
     except KeyError:
         raise LawError(f"unknown law {name!r}; known: {sorted(_BUILTIN)}") from None
+    if max_order < 0:
+        raise LawError("max_order must be >= 0")
     return ctor(max_order=max_order, **params)
 
 
@@ -335,25 +337,54 @@ def multivariate_cumulant(
     kind: str,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> Fraction:
-    """Joint cumulant of (X_1, ..., X_n) by Moebius inversion on the kind's lattice.
+    """Joint cumulant of (X_1, ..., X_n) by the first-block recursion.
 
     The oracle maps a sorted position block B to E[prod_{j in B} X_j] (for the
-    free kind, the product is taken in increasing position order).
+    free kind, the product is taken in increasing position order) and is
+    called once per distinct block.  For each position set S holding 1,
+    m(S) = sum over B with 1 in B, B in S, of kappa(B) R(S \\ B): R is m(S \\ B)
+    for the classical kind and, for the free kind, the product of m over the
+    gaps of S \\ B, the parts of S between consecutive elements of B or after
+    the last.  Solving for kappa(S) in increasing S takes 3^(n-1) terms;
+    n above ``cap`` is refused.
     """
     if kind not in ("classical", "free"):
         raise LawError("kind must be 'classical' or 'free'")
-    filt = PartitionFilter(noncrossing=(kind == "free"))
-    mode = "noncrossing" if kind == "free" else "classical"
-    total = Fraction(0)
-    for sigma in enumerate_partitions(n, filt, cap):
-        mu = moebius_to_top(sigma, mode)
-        term = mu
-        for b in sigma.blocks:
-            term *= joint_moment_oracle(b)
-            if term == 0:
-                break
-        total += term
-    return total
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_cap(n, cap)
+    moments: dict[int, Fraction] = {0: Fraction(1)}  # by position bitmask, bit j-1 for X_j
+
+    def m(mask: int) -> Fraction:
+        if mask not in moments:
+            moments[mask] = joint_moment_oracle(tuple(j + 1 for j in range(n) if mask >> j & 1))
+        return moments[mask]
+
+    def times_rest(c: Fraction, S: int, B: int) -> Fraction:
+        """c R(S \\ B); B is a proper subset of S, so S \\ B is not empty."""
+        T = S ^ B
+        if kind == "classical":
+            return c * m(T)
+        while B:
+            low = B & -B
+            B ^= low
+            gap = T & ((B & -B or 1 << n) - (low << 1))  # T after low, below the next element of B
+            if gap:
+                c *= m(gap)
+        return c
+
+    kappa: dict[int, Fraction] = {}
+    for S in range(1, 1 << n, 2):  # the sets that hold position 1; subsets come first
+        total = Fraction(0)
+        others = S ^ 1
+        sub = others
+        while sub:
+            sub = (sub - 1) & others
+            B = sub | 1
+            if kappa[B]:
+                total += times_rest(kappa[B], S, B)
+        kappa[S] = m(S) - total
+    return kappa[(1 << n) - 1]
 
 
 def poly_eval_chebyshev(h: int, x):

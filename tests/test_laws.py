@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +28,7 @@ from homsum.laws import (
     transformed_law,
     uniform_centered,
 )
-from homsum.partitions import PartitionFilter, catalan, enumerate_partitions
+from homsum.partitions import PartitionFilter, SizeCapError, catalan, enumerate_partitions
 
 
 ALL_LAWS = [
@@ -138,6 +139,74 @@ def test_convert_matches_raw_enumeration():
             assert got[n] == brute
 
 
+def test_convert_matches_the_class_sum_referee_on_builtin_laws(convert_referee):
+    # every built-in law's sequences to order 30, read under both kinds; the
+    # conversion is triangular, so each prefix converts to the same prefix
+    for name in builtin_law_names():
+        law = builtin_law(name, 30, **({"nu": F(3)} if name == "gamma_f" else {}))
+        for kind in ("classical", "free"):
+            for direction, seq in (("moments_to_cumulants", law.moments), ("cumulants_to_moments", law.cumulants)):
+                got = convert(seq, direction, kind)
+                assert got == convert_referee(seq, direction, kind), (name, kind, direction)
+                for order in range(31):
+                    assert convert(seq[: order + 1], direction, kind) == got[: order + 1]
+
+
+@given(st.lists(st.fractions(max_denominator=7), min_size=0, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_convert_matches_the_class_sum_referee(convert_referee, tail):
+    seq = [F(1)] + tail
+    for kind in ("classical", "free"):
+        for direction in ("moments_to_cumulants", "cumulants_to_moments"):
+            assert convert(seq, direction, kind) == convert_referee(seq, direction, kind)
+
+
+def _random_block_oracle(rng, values):
+    """Position-dependent joint moments: an independent rational per block, drawn on first use."""
+    table = {}
+
+    def oracle(block):
+        if block not in table:
+            table[block] = F(rng.choice(values), rng.randint(1, 6))
+        return table[block]
+
+    return oracle
+
+
+def test_joint_cumulant_matches_the_moebius_referee(cumulant_referee):
+    rng = random.Random(20170)
+    for kind in ("classical", "free"):
+        for n in range(1, 9):
+            # wide values, then values with many zeros so that zero cumulants occur
+            for values in (range(-20, 21), (-1, 0, 0, 1)):
+                oracle = _random_block_oracle(rng, values)
+                asked = []
+
+                def counting(block):
+                    asked.append(block)
+                    return oracle(block)
+
+                got = multivariate_cumulant(counting, n, kind)
+                assert got == cumulant_referee(oracle, n, kind), (kind, n)
+                assert isinstance(got, F)
+                assert len(asked) == len(set(asked))  # one call per distinct block
+                assert all(list(b) == sorted(b) and 1 <= b[0] and b[-1] <= n for b in asked)
+
+
+def test_joint_cumulant_errors():
+    same = lambda b: F(1)
+    for kind in ("classical", "free"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            multivariate_cumulant(same, 0, kind)
+        with pytest.raises(SizeCapError):
+            multivariate_cumulant(same, 5, kind, cap=4)
+        with pytest.raises(SizeCapError):
+            multivariate_cumulant(same, 15, kind)
+        assert multivariate_cumulant(same, 4, kind, cap=4) == 0
+    with pytest.raises(LawError):
+        multivariate_cumulant(same, 2, "boolean")
+
+
 def test_gaussian_from_cumulants():
     moms = convert((0, 0, 1, 0, 0, 0, 0, 0, 0), "cumulants_to_moments", "classical")
     assert moms == gaussian(1, 8).moments
@@ -226,6 +295,22 @@ def test_conversion_order_limit():
         convert([1] + [0] * 31, "moments_to_cumulants", "classical")
     with pytest.raises(LawError, match="conversion limit"):
         rademacher(31)
+
+
+def test_empty_sequences_and_negative_orders_are_law_errors():
+    for kind in ("classical", "free"):
+        for direction in ("moments_to_cumulants", "cumulants_to_moments"):
+            with pytest.raises(LawError, match="order-0 entry"):
+                convert([], direction, kind)
+            assert len(convert([1], direction, kind)) == 1
+    for name in builtin_law_names():
+        params = {"nu": F(3)} if name == "gamma_f" else {}
+        with pytest.raises(LawError, match="max_order must be >= 0"):
+            builtin_law(name, max_order=-1, **params)
+        assert builtin_law(name, max_order=0, **params).max_order == 0
+    for ctor in (gaussian, semicircle):  # the two that fill both sequences themselves
+        with pytest.raises(LawError, match="same order"):
+            ctor(1, max_order=-1)
 
 
 def test_law_json_roundtrip():
