@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .partitions import (
@@ -26,10 +27,13 @@ from .partitions import (
     enumerate_partitions,
     moebius_to_top,
 )
-from . import kernels as K
-from . import laws as L
-from . import moments as M
-from . import orthopoly as O
+
+# the layer modules load inside the handlers that use them, so that a
+# subcommand imports (and compiles) only what it runs
+if TYPE_CHECKING:
+    from . import kernels as K
+    from . import laws as L
+    from . import orthopoly as O
 
 
 class UsageParser(argparse.ArgumentParser):
@@ -117,6 +121,8 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _load_kernel(path: str, mode: str) -> K.Kernel:
+    from . import kernels as K
+
     try:
         with open(path) as fh:
             k = K.kernel_from_json(fh.read())
@@ -142,6 +148,8 @@ def _parse_params(items) -> dict:
 
 
 def _load_law(args, max_order: int = 10) -> L.LawSpec:
+    from . import laws as L
+
     name = args.law
     if name is None:
         raise CliValidationError("law", "a --law is required", "law")
@@ -159,6 +167,8 @@ def _load_law(args, max_order: int = 10) -> L.LawSpec:
 
 
 def _law_functional(args, need_order: int) -> O.MomentFunctional:
+    from . import orthopoly as O
+
     law = _load_law(args, max_order=max(need_order, 10))
     return O.MomentFunctional.from_law(law)
 
@@ -187,11 +197,15 @@ def cmd_partitions(args, cap):
 
 
 def cmd_kernel_validate(args, cap):
+    from . import kernels as K
+
     k = _load_kernel(args.kernel, args.mode)
     return K.validate(k, args.flavor)
 
 
 def cmd_contract(args, cap):
+    from . import kernels as K
+
     f = _load_kernel(args.kernel, args.mode)
     g = _load_kernel(args.other, args.mode) if args.other else f
     if args.star:
@@ -206,6 +220,8 @@ def cmd_contract(args, cap):
 
 
 def cmd_influence(args, cap):
+    from . import kernels as K
+
     f = _load_kernel(args.kernel, args.mode)
     inf = K.influence(f)
     return {
@@ -216,6 +232,8 @@ def cmd_influence(args, cap):
 
 
 def cmd_moment(args, cap):
+    from . import moments as M
+
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args, max_order=max(10, args.order * f.d))
     spec = M.SumSpec(f, law)
@@ -228,12 +246,16 @@ def cmd_moment(args, cap):
 
 
 def cmd_fourth_moment(args, cap):
+    from . import moments as M
+
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
     return M.fourth_moment_formula(M.SumSpec(f, law), cap)
 
 
 def cmd_fmt_check(args, cap):
+    from . import moments as M
+
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
     tol = Fraction(args.tol) if args.tol else None
@@ -241,12 +263,16 @@ def cmd_fmt_check(args, cap):
 
 
 def cmd_noncentral_check(args, cap):
+    from . import moments as M
+
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
     return M.noncentral_report(M.SumSpec(f, law), args.target, Fraction(args.param), cap)
 
 
 def cmd_joint_moment(args, cap):
+    from . import moments as M
+
     ks = [_load_kernel(p, "exact") for p in args.kernel]
     word = tuple(int(w) for w in args.word.split(","))
     # a respectful block holds at most one position per letter
@@ -257,6 +283,8 @@ def cmd_joint_moment(args, cap):
 
 
 def cmd_stein_bound(args, cap):
+    from . import moments as M
+
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
     return M.stein_wasserstein_bound(
@@ -268,6 +296,8 @@ def cmd_stein_bound(args, cap):
 
 
 def cmd_gops(args, cap):
+    from . import orthopoly as O
+
     if args.m != 1:
         # the extra-group rows of a one-law functional repeat the main group's
         # first row, so every p_{n,m} with m >= 2 has a zero determinant
@@ -286,6 +316,8 @@ def cmd_gops(args, cap):
 
 
 def cmd_recurrence(args, cap):
+    from . import orthopoly as O
+
     F = _law_functional(args, 2 * args.n)
     rec = O.recurrence_coeffs(F, args.n)
     return {
@@ -303,6 +335,8 @@ def _node_rows(nodes, weights) -> list[dict]:
 
 
 def cmd_quadrature(args, cap):
+    from . import orthopoly as O
+
     F = _law_functional(args, 2 * args.n)
     rule = O.quadrature_rule(F, args.n, tol=args.tol_float)
     return {
@@ -314,6 +348,8 @@ def cmd_quadrature(args, cap):
 
 
 def cmd_discriminant(args, cap):
+    from . import orthopoly as O
+
     if args.method == "lu_gaussian" and args.law != "gaussian":
         raise CliValidationError("method", "lu_gaussian is the Gaussian closed form; it needs --law gaussian", "method")
     need = 2 * (args.k * (args.N - 1) + 1)
@@ -323,6 +359,8 @@ def cmd_discriminant(args, cap):
 
 
 def cmd_sylvester(args, cap):
+    from . import orthopoly as O
+
     need = max(2 * args.n * (2 * args.k - 1), 4 * args.n)
     F = _law_functional(args, need)
     dec = O.sylvester_decompose(F, args.n, args.k, mode=args.sylvester_mode)
@@ -339,18 +377,20 @@ def cmd_sylvester(args, cap):
     }
 
 
+# kernel family -> its builder in the kernels module
 _FAMILIES = {
-    "offdiag": K.offdiag_kernel,
-    "star": K.star_kernel,
-    "avoid-first": K.avoid_first_kernel,
+    "offdiag": "offdiag_kernel",
+    "star": "star_kernel",
+    "avoid-first": "avoid_first_kernel",
 }
 
 
 def cmd_simulate_invariance(args, cap):
+    from . import kernels as K
     from . import stochsim as S
 
     rows = S.invariance_decay_experiment(
-        _FAMILIES[args.family],
+        getattr(K, _FAMILIES[args.family]),
         S.Sampler(args.sampler_a, seed=args.seed),
         S.Sampler(args.sampler_b, seed=args.seed + 1),
         sizes=[int(x) for x in args.sizes.split(",")],

@@ -31,6 +31,8 @@ Poly = tuple[Fraction, ...]
 
 # most exact determinants the expectation route may take, r!(n+1)
 EXPECTATION_GUARD = 10**4
+# most monomials a Vandermonde-power expansion may hold; only E[Delta^(2k)]
+# for k >= 3 and p_{n,k} for k >= 2 expand, the lower powers have determinant forms
 MONOMIAL_GUARD = 2 * 10**6
 # roots closer than this are not simple; imaginary parts below it are real nodes
 ROOT_TOL = 1e-8
@@ -149,6 +151,33 @@ def _cofactors(
     return [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(ks))]
 
 
+def _pfaffian(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Pfaffian of a skew-symmetric Fraction matrix of even order by skew
+    Gaussian elimination: each step pivots on entry (k, k+1), swapping a later
+    index into k+1 (which flips the sign) when it is zero, and the trailing
+    block becomes A_ij - (A_ki A_k+1,j - A_k+1,i A_kj) / A_k,k+1.  A row with
+    no pivot makes the Pfaffian 0."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    pf = Fraction(1)
+    for k in range(0, n - 1, 2):
+        p = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k + 1:
+            a[k + 1], a[p] = a[p], a[k + 1]
+            for row in a:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        rk, rk1, piv = a[k], a[k + 1], a[k][k + 1]
+        pf *= piv
+        for i in range(k + 2, n):
+            for j in range(i + 1, n):
+                v = a[i][j] - (rk[i] * rk1[j] - rk1[i] * rk[j]) / piv
+                a[i][j], a[j][i] = v, -v
+    return pf
+
+
 # ---------------------------------------------------------------------------
 # moment functionals
 
@@ -203,7 +232,7 @@ def hankel_det(F: MomentFunctional, n: int) -> dict:
     E[Delta(X_1, ..., X_n)^2] = n! det."""
     if n < 1:
         raise OrthopolyError("n must be >= 1")
-    if F.max_order < 2 * n - 2:
+    if len(F.groups[0]) < 2 * n - 1:
         raise OrthopolyError(f"need moments to order {2 * n - 2}")
     rows = [[F.moment(0, i + j) for j in range(n)] for i in range(n)]
     det = exact_det(rows)
@@ -225,13 +254,18 @@ def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
         raise OrthopolyError("need 1 <= m <= n")
     if F.max_order < 2 * n - m:
         raise OrthopolyError(f"need main-group moments to order {2 * n - m}")
-    ks, hs = multi_indices_upto((n,)), multi_indices_upto((n - m,))
-    p = poly_trim(_cofactors(lambda g, k: F.moment(g, k[0]), ks, hs))
+    p = poly_trim(_gops_cofactors(F, n, m))
     if poly_deg(p) != n:
         raise DegenerateError(
             f"leading coefficient of p_{{{n},{m}}} vanishes (degenerate moment data)"
         )
     return p
+
+
+def _gops_cofactors(F: MomentFunctional, n: int, m: int) -> list[Fraction]:
+    """Unnormalized coefficients of p_{n,m}, lowest degree first."""
+    ks, hs = multi_indices_upto((n,)), multi_indices_upto((n - m,))
+    return _cofactors(lambda g, k: F.moment(g, k[0]), ks, hs)
 
 
 def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
@@ -638,16 +672,32 @@ def discriminant_moment(
 ):
     """E[Delta(X_1, ..., X_N)^(2k)] for an i.i.d. sample of the main law.
 
-    method='expansion' (exact oracle): expand the Vandermonde power and
-    factorize by independence.  method='quadrature': tensorized Gauss rule
-    with n = k(N-1)+1 nodes (2k(N-1) <= 2n-1).  method='lu_gaussian':
-    the Gaussian closed form sigma^(N(N-1)k) prod_j j^(jk)
-    prod_{i<j} Gamma(k + i/j)/Gamma(i/j), exact for integer k; sigma^2
-    defaults to the functional's second moment.
+    method='expansion' is exact for any law and reads moments to order
+    2k(N-1):
+    - k = 1: Heine's formula E[Delta^2] = N! det(m_{i+j})_{i,j<N}, the
+      Andreief identity for the squared Vandermonde (Deift, Orthogonal
+      Polynomials and Random Matrices, 1999);
+    - k = 2: Delta^4 is the confluent Vandermonde determinant with rows x^j
+      and j x^(j-1) for each node, so de Bruijn's identity (J. Indian Math.
+      Soc. 19, 1955) gives E[Delta^4] = N! Pf(A) with
+      A_ij = (j - i) m_{i+j-1}, i, j = 0..2N-1;
+    - k >= 3: no determinant form exists, so the Vandermonde power is
+      expanded into monomials and factorized by independence.
+    method='quadrature': tensorized Gauss rule with n = k(N-1)+1 nodes
+    (2k(N-1) <= 2n-1).  method='lu_gaussian': the Gaussian closed form
+    sigma^(N(N-1)k) prod_j j^(jk) prod_{i<j} Gamma(k + i/j)/Gamma(i/j), exact
+    for integer k; sigma^2 defaults to the functional's second moment.
     """
     if N < 1 or k < 1:
         raise OrthopolyError("need N >= 1 and k >= 1")
     if method == "expansion":
+        if k == 1:
+            return hankel_det(F, N)["vandermonde_sq_expectation"]
+        if k == 2:
+            m = [F.moment(0, s) for s in range(4 * N - 3)]
+            a = [[(j - i) * m[i + j - 1] if i != j else Fraction(0) for j in range(2 * N)]
+                 for i in range(2 * N)]
+            return math.factorial(N) * _pfaffian(a)
         terms = _independent_expectations(_vandermonde_power(N, 2 * k), F, N)
         return sum((term for _, term in terms), Fraction(0))
     if method == "quadrature":
@@ -683,8 +733,16 @@ def translated_moment_poly(F: MomentFunctional, m: int) -> Poly:
 
 
 def discriminant_product_poly(F: MomentFunctional, n: int, k: int) -> Poly:
-    """p_{n,k}(x) = E[(X_1-x)^{2k-1} ... (X_n-x)^{2k-1} Delta(X_1..X_n)^{2k}]
-    by sparse monomial expansion and independence factorization."""
+    """p_{n,k}(x) = E[(X_1-x)^{2k-1} ... (X_n-x)^{2k-1} Delta(X_1..X_n)^{2k}].
+
+    k = 1 by Heine's formula: p_{n,1} is n! times the unnormalized cofactor
+    polynomial of p_{n,1} in ``gops_determinant`` (the monomial row on top
+    carries the sign (-1)^n of prod (X_i - x)).  A degenerate law, whose
+    Hankel determinant D_n vanishes, gives the zero polynomial.  k >= 2 by
+    sparse monomial expansion and independence factorization.  Reads moments
+    to order 2kn - 1."""
+    if k == 1:
+        return poly_trim([math.factorial(n) * c for c in _gops_cofactors(F, n, 1)])
     width = n + 1  # variables X_1..X_n plus x at slot n
     acc = _vandermonde_power(n, 2 * k, extra_vars=1)
     one = Fraction(1)
@@ -732,10 +790,11 @@ def sylvester_decompose(
 ) -> SylvesterDecomposition:
     """Sylvester-style decompositions attached to the main law.
 
-    mode='discriminant': decompose p_{n,k} over the roots of the translated
-    moment polynomial A_m, m = n(2k-1): solve the power sums
-    sum_j c_j r_j^p = b_p for p = 0..m-1 and verify the held-out p = m
-    equation; the weight sum equals E[Delta(X_1..X_n)^{2k}], which is
+    mode='discriminant': decompose p_{n,k} (``discriminant_product_poly``:
+    Heine's formula for k = 1, the monomial expansion for k >= 2) over the
+    roots of the translated moment polynomial A_m, m = n(2k-1): solve the
+    power sums sum_j c_j r_j^p = b_p for p = 0..m-1 and verify the held-out
+    p = m equation; the weight sum equals E[Delta(X_1..X_n)^{2k}], which is
     (-1)^m times the leading coefficient of p_{n,k} (the ``target``).
 
     mode='appel' (the k' = 1 classical case): decompose A_{2n-1} over the

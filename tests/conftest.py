@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
+from homsum.orthopoly import poly_trim
 from homsum.partitions import PartitionFilter, enumerate_partitions, interval_partition, moebius_to_top
 
 
@@ -99,3 +101,62 @@ def convert_referee():
 @pytest.fixture(scope="session")
 def cumulant_referee():
     return moebius_cumulant
+
+
+@lru_cache(maxsize=None)
+def _vandermonde_monomials(n, k, x_power):
+    """prod_i (x_i - x)^x_power * prod_{i<j} (x_j - x_i)^(2k) expanded into
+    integer-coefficient monomials over x_0..x_{n-1} and x (the last slot)."""
+    poly = {(0,) * (n + 1): 1}
+
+    def times_difference(poly, a, b):
+        out = {}
+        for e, c in poly.items():
+            for v, term in ((a, c), (b, -c)):
+                f = e[:v] + (e[v] + 1,) + e[v + 1:]
+                out[f] = out.get(f, 0) + term
+        return {e: c for e, c in out.items() if c}
+
+    for j in range(n):
+        for i in range(j):
+            for _ in range(2 * k):
+                poly = times_difference(poly, j, i)
+        for _ in range(x_power):
+            poly = times_difference(poly, j, n)
+    return tuple(poly.items())
+
+
+def monomial_expectation(func, n, k, x_power):
+    """E[prod_i (X_i - x)^x_power Delta(X_1..X_n)^(2k)] for X_i i.i.d. under
+    the main group of the moment functional ``func``, as coefficients in x
+    (lowest first, trimmed): the Vandermonde power expanded monomial by
+    monomial and factorized by independence.  The route
+    ``discriminant_moment(..., "expansion")`` and ``discriminant_product_poly``
+    ran on for every k before the Andreief and de Bruijn forms, kept as their
+    referee."""
+    coeffs = [F(0)] * (n * x_power + 1)
+    for e, c in _vandermonde_monomials(n, k, x_power):
+        term = F(c)
+        for power in e[:n]:
+            term *= func.moment(0, power)
+            if not term:
+                break
+        coeffs[e[n]] += term
+    return poly_trim(coeffs)
+
+
+class DiscriminantReferee:
+    @staticmethod
+    def moment(func, N, k):
+        """E[Delta(X_1..X_N)^(2k)] by monomial expansion."""
+        return monomial_expectation(func, N, k, 0)[0]
+
+    @staticmethod
+    def product_poly(func, n, k):
+        """p_{n,k}(x) = E[prod_i (X_i - x)^(2k-1) Delta^(2k)] by monomial expansion."""
+        return monomial_expectation(func, n, k, 2 * k - 1)
+
+
+@pytest.fixture(scope="session")
+def discriminant_referee():
+    return DiscriminantReferee

@@ -429,6 +429,46 @@ def test_import_and_moment_leave_numpy_unloaded():
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
+@pytest.mark.parametrize("argv, loaded, not_loaded", [
+    (["partitions", "--n", "5"], {"homsum", "homsum.cli", "homsum.partitions"}, set()),
+    (["contract", "--kernel", "k5.json", "--order", "1"], None,
+     {"homsum.laws", "homsum.moments", "homsum.orthopoly"}),
+    (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"], None, {"homsum.orthopoly"}),
+])
+def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
+    proc = run_python(
+        "import json, os, sys\n"
+        "import homsum.cli as cli\n"
+        "code = cli.run(json.loads(sys.argv[1]) + ['--output', os.devnull])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'homsum')]))\n",
+        json.dumps(argv),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    if loaded is not None:
+        assert set(modules) == loaded
+    assert not set(modules) & not_loaded, modules
+
+
+def test_discriminant_reaches_n8_k2(tmp_path):
+    from homsum.laws import gaussian
+    from homsum.orthopoly import MomentFunctional, discriminant_moment
+
+    want = discriminant_moment(MomentFunctional.from_law(gaussian(1, 28)), 8, 2, "lu_gaussian")
+    code, payload = run_json(["discriminant", "--law", "gaussian", "--N", "8", "--k", "2"], tmp_path)
+    assert code == 0 and payload["result"]["value"] == f"{want.numerator}/{want.denominator}"
+
+
+@pytest.mark.parametrize("N, k", [(4, 1), (3, 2)])
+def test_discriminant_with_a_short_law_file_exits_2(N, k, tmp_path):
+    # moments to order 4 only: E[Delta^2] at N = 4 reads order 6, E[Delta^4] at N = 3 order 8
+    law = tmp_path / "short.json"
+    law.write_text(json.dumps({"name": "short", "kind": "classical", "moments": ["1", "0", "1", "0", "3"]}))
+    code, payload = run_json(["discriminant", "--law", str(law), "--N", str(N), "--k", str(k)], tmp_path)
+    assert code == 2 and payload["result"]["error"]["code"] == "OrthopolyError"
+
+
 @pytest.mark.parametrize("m", [-1, 0, 2, 5])
 def test_gops_refuses_m_other_than_1(m, tmp_path):
     code, payload = run_json(["gops", "--law", "gaussian", "--n", "5", "--m", str(m)], tmp_path)

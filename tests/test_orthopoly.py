@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homsum.laws import (
@@ -49,6 +49,7 @@ from homsum.orthopoly import (
     sylvester_decompose,
     translated_moment_poly,
     _perm_sign,
+    _pfaffian,
 )
 
 G = MomentFunctional.from_law(gaussian(1, 14))
@@ -348,6 +349,105 @@ def test_discriminant_moment_three_routes():
     assert discriminant_moment(G2, 2, 2, "expansion") == 12 * 4**2
 
 
+BUILTIN_PARAMS = {"gamma_f": {"nu": F(3)}}
+
+
+def builtin_functionals(max_order):
+    return [
+        MomentFunctional.from_law(builtin_law(name, max_order, **BUILTIN_PARAMS.get(name, {})))
+        for name in builtin_law_names()
+    ]
+
+
+def test_discriminant_determinant_forms_equal_the_monomial_expansion(discriminant_referee):
+    for Fm in builtin_functionals(16):
+        for N in range(1, 6):
+            assert discriminant_moment(Fm, N, 1) == discriminant_referee.moment(Fm, N, 1), (Fm, N)
+            assert discriminant_product_poly(Fm, N, 1) == discriminant_referee.product_poly(Fm, N, 1), (Fm, N)
+        for N in range(1, 5):
+            assert discriminant_moment(Fm, N, 2) == discriminant_referee.moment(Fm, N, 2), (Fm, N)
+
+
+# small rationals with zeros and signs: the drawn functionals need not be
+# positive, so Hankel and Pfaffian pivots vanish and the Pfaffian swaps
+DRAWN_MOMENTS = st.lists(
+    st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5)]),
+    min_size=8, max_size=8,
+)
+
+
+@given(DRAWN_MOMENTS, st.integers(min_value=1, max_value=4))
+@example([F(x) for x in (0, 0, 1, 0, 2, 1, 0, 0)], 3)  # the Pfaffian swaps a pivot in; E[Delta^4] = 162
+@settings(max_examples=60, deadline=None)
+def test_discriminant_determinant_forms_equal_the_expansion_on_drawn_moments(
+    discriminant_referee, tail, n
+):
+    Fm = MomentFunctional(((F(1), *tail),))
+    assert discriminant_moment(Fm, n, 1) == discriminant_referee.moment(Fm, n, 1)
+    assert discriminant_product_poly(Fm, n, 1) == discriminant_referee.product_poly(Fm, n, 1)
+    if n <= 3:
+        assert discriminant_moment(Fm, n, 2) == discriminant_referee.moment(Fm, n, 2)
+
+
+def matching_pfaffian(a):
+    """Pfaffian by expansion along the first row over perfect matchings."""
+    if not a:
+        return F(1)
+    total = F(0)
+    for j in range(1, len(a)):
+        rest = [i for i in range(1, len(a)) if i != j]
+        minor = [[a[r][c] for c in rest] for r in rest]
+        total += (-1) ** (j + 1) * a[0][j] * matching_pfaffian(minor)
+    return total
+
+
+@given(st.integers(min_value=0, max_value=3), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_pfaffian_equals_the_matching_expansion(half, rnd):
+    n = 2 * half
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = F(rnd.choice([0, 0, 0, 1, -1, 2, -3]), rnd.choice([1, 1, 2, 3]))
+            a[i][j], a[j][i] = v, -v
+    assert _pfaffian(a) == matching_pfaffian(a)
+
+
+def test_discriminant_determinant_forms_reach_the_gaussian_closed_form():
+    # the Mehta closed form is an independent route; the monomial expansion
+    # stopped at its guard long before N = 8
+    Fm = MomentFunctional.from_law(gaussian(1, 28))
+    for k in (1, 2):
+        for N in range(1, 9):
+            assert discriminant_moment(Fm, N, k, "expansion") == discriminant_moment(Fm, N, k, "lu_gaussian"), (N, k)
+
+
+@pytest.mark.parametrize("N, k", [(3, 1), (4, 1), (2, 2), (3, 2)])
+def test_discriminant_reads_moments_to_order_2k_n_minus_1(N, k):
+    # E[Delta^(2k)] reads m_0 .. m_{2k(N-1)}: exactly that many suffice, one fewer raises
+    need = 2 * k * (N - 1)
+    moments = gaussian(1, need).moments
+    want = discriminant_moment(G, N, k, "lu_gaussian")
+    assert discriminant_moment(MomentFunctional((moments,)), N, k) == want
+    # only the main group is read: a short extra group does not matter
+    assert discriminant_moment(MomentFunctional((moments, (F(1),))), N, k) == want
+    with pytest.raises(OrthopolyError):
+        discriminant_moment(MomentFunctional((moments[:need],)), N, k)
+
+
+def test_discriminant_product_poly_reads_moments_to_order_2n_minus_1():
+    moments = gaussian(1, 7).moments
+    assert discriminant_product_poly(MomentFunctional((moments,)), 4, 1) == discriminant_product_poly(G, 4, 1)
+    with pytest.raises(OrthopolyError):
+        discriminant_product_poly(MomentFunctional((moments[:7],)), 4, 1)
+
+
+@pytest.mark.parametrize("N, k", [(0, 1), (-1, 2), (2, 0), (3, -1)])
+def test_discriminant_refuses_n_or_k_below_1(N, k):
+    with pytest.raises(OrthopolyError, match="need N >= 1 and k >= 1"):
+        discriminant_moment(G, N, k)
+
+
 def test_sylvester_appel_a3():
     dec = sylvester_decompose(G, 2, mode="appel")
     assert dec.consistent and dec.residual < 1e-9
@@ -384,15 +484,13 @@ def test_sylvester_discriminant_mode():
     assert d31.consistent and abs(d31.weight_sum.real - want) < 1e-6
 
 
-def test_sylvester_target_is_the_expansion_moment():
+def test_sylvester_target_is_the_expansion_moment(discriminant_referee):
     # the target is read off the leading coefficient of p_{n,k}; it is 0
     # where p_{n,k} is trimmed below degree m (rademacher at n >= 3)
-    params = {"gamma_f": {"nu": F(3)}}
-    for name in builtin_law_names():
-        Fm = MomentFunctional.from_law(builtin_law(name, 14, **params.get(name, {})))
+    for Fm in builtin_functionals(14):
         for n, k in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
             dec = sylvester_decompose(Fm, n, k, mode="discriminant")
-            assert dec.target == discriminant_moment(Fm, n, k, "expansion"), (name, n, k)
+            assert dec.target == discriminant_referee.moment(Fm, n, k), (Fm, n, k)
 
 
 @pytest.mark.parametrize("k", [0, 2, 3])
