@@ -130,10 +130,11 @@ def monomial_expectation(func, n, k, x_power):
     """E[prod_i (X_i - x)^x_power Delta(X_1..X_n)^(2k)] for X_i i.i.d. under
     the main group of the moment functional ``func``, as coefficients in x
     (lowest first, trimmed): the Vandermonde power expanded monomial by
-    monomial and factorized by independence.  The route
-    ``discriminant_moment(..., "expansion")`` and ``discriminant_product_poly``
-    ran on for every k before the Andreief and de Bruijn forms, kept as their
-    referee."""
+    monomial and factorized by independence.  A copy, written apart from the
+    library's, of the route ``discriminant_moment(..., "expansion")`` and
+    ``discriminant_product_poly`` took for every k before the Heine and de
+    Bruijn forms (they still take it for k >= 3 and p_{n,k>=2}), kept as
+    their referee."""
     coeffs = [F(0)] * (n * x_power + 1)
     for e, c in _vandermonde_monomials(n, k, x_power):
         term = F(c)

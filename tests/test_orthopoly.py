@@ -415,7 +415,7 @@ def test_pfaffian_equals_the_matching_expansion(half, rnd):
 
 def test_discriminant_determinant_forms_reach_the_gaussian_closed_form():
     # the Mehta closed form is an independent route; the monomial expansion
-    # stopped at its guard long before N = 8
+    # already took seconds at N = 6, k = 1
     Fm = MomentFunctional.from_law(gaussian(1, 28))
     for k in (1, 2):
         for N in range(1, 9):
