@@ -218,10 +218,6 @@ class MomentFunctional:
             )
         return seq[k]
 
-    @property
-    def max_order(self) -> int:
-        return min(len(g) - 1 for g in self.groups)
-
     def shifted(self, t) -> "MomentFunctional":
         """Moments of X + t for every group (binomial transform); exact."""
         return MomentFunctional(tuple(_binomial_shift(g, Fraction(t)) for g in self.groups))
@@ -246,13 +242,14 @@ def hankel_det(F: MomentFunctional, n: int) -> dict:
 def gops_determinant(F: MomentFunctional, n: int, m: int) -> Poly:
     """Generalized orthogonal polynomial p_{nm} by cofactor expansion of the
     moment determinant: one symbolic monomial row, the main group's moments
-    shifted 0..n-m, then one unshifted row per extra group 2..m.
+    shifted 0..n-m, then one unshifted row per extra group 1..m-1.  Reads the
+    main group to order 2n - m and each extra group to order n.
 
     Raises DegenerateError when the leading coefficient vanishes.
     """
     if not (1 <= m <= n):
         raise OrthopolyError("need 1 <= m <= n")
-    if F.max_order < 2 * n - m:
+    if len(F.groups[0]) <= 2 * n - m:
         raise OrthopolyError(f"need main-group moments to order {2 * n - m}")
     p = poly_trim(_gops_cofactors(F, n, m))
     if poly_deg(p) != n:
@@ -364,8 +361,9 @@ def orthogonality_check(F: MomentFunctional, p: Poly, n: int, m: int) -> dict:
 
 def recurrence_coeffs(F: MomentFunctional, N: int) -> dict:
     """Monic orthogonal polynomials with their Jacobi-Szego coefficients:
-    p_{k+1} = (x - alpha_{k+1}) p_k - beta_{k+1} p_{k-1}."""
-    if F.max_order < 2 * N:
+    p_{k+1} = (x - alpha_{k+1}) p_k - beta_{k+1} p_{k-1}.  Reads the main
+    group only, to order 2N."""
+    if len(F.groups[0]) <= 2 * N:
         raise OrthopolyError(f"need moments to order {2 * N}")
 
     def inner(p: Poly, q: Poly) -> Fraction:

@@ -4,7 +4,10 @@ diagonal-measure / kappa-statistic experiments.
 
 Every stream is a counter-based Philox generator keyed by (seed, task id), so
 parallel and serial runs agree bit for bit; statistical acceptance is always
-at the five-standard-error level with sample sizes recorded.
+at the five-standard-error level with sample sizes recorded.  A per-path loop
+builds its generators once per call and re-keys them for each path, which
+gives the same stream as a new generator; no generator is shared between
+calls, so concurrent calls stay independent.
 
 Within a stream the loops draw a whole path or row per numpy call: a
 kappa-statistic cell sampler is ``cells(measure, rng, count) -> ndarray``,
@@ -19,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,11 +40,30 @@ EXACT_CAP_POSITIONS = 12
 CUMULANT_GROUPS = 50
 
 
-def _stream(seed: int, task: int = 0) -> np.random.Generator:
-    """Philox stream keyed by (seed, task), packed as seed + task * 2^32."""
+def _stream(seed: int, task: int = 0, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """Philox stream keyed by (seed, task), packed as seed + task * 2^32: the
+    stream of ``Generator(Philox(key=seed + (task << 32)))``.
+
+    The key is set by assigning the Philox state (counter zero, buffer
+    empty), which also drops any half-used buffer or cached 32-bit half.
+    Given ``rng``, a Philox generator the caller holds, re-keys it in place
+    and returns it; otherwise builds one and keys it the same way.  Building
+    costs about ten times the re-keying (the constructor draws OS entropy
+    for a seed that the key then overrides), so per-path loops pass back the
+    generator they hold."""
     if not (0 <= seed < 2**32 and 0 <= task < 2**32):
         raise ValueError(f"seed {seed} and task {task} must lie in [0, 2^32)")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) + (np.uint64(task) << np.uint64(32))))
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(seed) + (int(task) << 32), 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -144,9 +166,20 @@ def sample_homsum(f: Kernel, sampler: Sampler, trials: int, task: int = 0) -> np
     return out
 
 
+@lru_cache(maxsize=8)
+def _normal_quantiles(size: int) -> np.ndarray:
+    """The grid Phi^{-1}((i + 1/2)/size), i < size, read-only because every
+    caller with this size shares it.  Filled with no intermediate list of
+    Python floats: with one, peak memory rose by about twice the grid's size."""
+    nd = NormalDist()
+    q = np.fromiter((nd.inv_cdf((i + 0.5) / size) for i in range(size)), dtype=float, count=size)
+    q.flags.writeable = False
+    return q
+
+
 def wasserstein1_empirical(sample: np.ndarray, reference="standard_normal_quantiles") -> float:
     """Empirical W1 against another sample, or against the standard normal
-    quantiles Phi^{-1}((i - 1/2)/N).  Equal sizes give the order-statistics
+    quantiles Phi^{-1}((i - 1/2)/N), a grid cached per N.  Equal sizes give the order-statistics
     mean |x_(i) - y_(i)|; unequal sizes the exact W1 of the two empirical laws."""
     x = np.sort(np.asarray(sample, dtype=float))
     if len(x) < 2:
@@ -154,9 +187,7 @@ def wasserstein1_empirical(sample: np.ndarray, reference="standard_normal_quanti
     if isinstance(reference, str):
         if reference != "standard_normal_quantiles":
             raise ValueError("unknown reference")
-        nd = NormalDist()
-        q = np.array([nd.inv_cdf((i + 0.5) / len(x)) for i in range(len(x))])
-        return float(np.mean(np.abs(x - q)))
+        return float(np.mean(np.abs(x - _normal_quantiles(len(x)))))
     y = np.sort(np.asarray(reference, dtype=float))
     if len(y) == len(x):
         return float(np.mean(np.abs(x - y)))
@@ -260,17 +291,25 @@ def _check_levy_args(lam: float, sigma2: float, horizon: float) -> None:
 
 
 def _levy_draws(
-    lam: float, jump_sampler: Sampler, sigma2: float, horizon: float, seed: int, task: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One path's (times, jumps, level): the jump count, the unsorted jump
-    times and the Gaussian level come from stream (seed, task), the jump sizes
-    from the jump sampler's stream at task + 7,000,000."""
-    rng = _stream(seed, task)
-    count = int(rng.poisson(lam * horizon))
-    times = rng.uniform(0.0, horizon, size=count)
-    jumps = jump_sampler.draw(count, task=task + 7_000_000) if count else np.array([])
-    level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
-    return times, jumps, level
+    lam: float, jump_sampler: Sampler, sigma2: float, horizon: float, seed: int, tasks: Iterable[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Each task's path as (times, jumps, level): the jump count, the unsorted
+    jump times and the Gaussian level come from stream (seed, task), the jump
+    sizes from the jump sampler's stream at task + 7,000,000 (keyed only when
+    the path has jumps).  The two generators are built once and re-keyed per
+    task."""
+    rng = jump_rng = None
+    for task in tasks:
+        rng = _stream(seed, task, rng)
+        count = int(rng.poisson(lam * horizon))
+        times = rng.uniform(0.0, horizon, size=count)
+        if count:
+            jump_rng = _stream(jump_sampler.seed, task + 7_000_000, jump_rng)
+            jumps = jump_sampler.draw_from(jump_rng, count)
+        else:
+            jumps = np.array([])
+        level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
+        yield times, jumps, level
 
 
 def compound_poisson_path(
@@ -282,7 +321,7 @@ def compound_poisson_path(
     task: int = 0,
 ) -> JumpPath:
     _check_levy_args(lam, sigma2, horizon)
-    times, jumps, level = _levy_draws(lam, jump_sampler, sigma2, horizon, seed, task)
+    times, jumps, level = next(_levy_draws(lam, jump_sampler, sigma2, horizon, seed, (task,)))
     times = np.sort(times)
     # nudge exact collisions apart; measure-zero event but float grids collide
     for i in range(1, len(times)):
@@ -326,7 +365,8 @@ def kstat_experiment(
     T/N; the statistic is sum_i Phi(A_iN)^n per path, reported with its
     standard error against the exact target cumulant.  Path p draws its cells
     with one call ``cell_sampler(T/N, rng, N)`` on stream (seed, p), which
-    returns the N cell values in cell order.
+    returns the N cell values in cell order; ``rng`` is re-keyed for the next
+    path, so a cell sampler must not keep it.
     """
     if paths < 2 or refinement < 1:
         raise ValueError("need paths >= 2 and refinement >= 1")
@@ -336,8 +376,10 @@ def kstat_experiment(
         raise ValueError(f"horizon must be finite and > 0; got {horizon}")
     cell_measure = horizon / refinement
     stats = np.empty(paths)
+    rng = None
     for p in range(paths):
-        cells = cell_sampler(cell_measure, _stream(seed, task=p), refinement)
+        rng = _stream(seed, p, rng)
+        cells = cell_sampler(cell_measure, rng, refinement)
         stats[p] = float(np.sum(cells**n))
     est = float(np.mean(stats))
     se = float(np.std(stats, ddof=1) / math.sqrt(paths))
@@ -414,8 +456,7 @@ def variations_cumulant_check(
     # drawn (the level follows them in the stream) but never sorted
     quadratic = sigma2 * horizon
     V = np.empty((paths, k))
-    for p in range(paths):
-        _, jumps, level = _levy_draws(lam, jump_sampler, sigma2, horizon, seed, p)
+    for p, (_, jumps, level) in enumerate(_levy_draws(lam, jump_sampler, sigma2, horizon, seed, range(paths))):
         V[p] = [_variation(jumps, c, level, quadratic) for c in orders]
 
     # (Moebius value, column lists of the blocks) per partition of the k orders

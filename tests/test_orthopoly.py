@@ -228,6 +228,39 @@ def test_expectation_route_reads_each_group_to_its_order():
         gops_expectation(MomentFunctional((main, extra[:n])), n, m)
 
 
+@pytest.mark.parametrize("n, m", [(4, 2), (4, 3), (5, 3)])
+def test_determinant_route_reads_each_group_to_its_order(n, m):
+    # the main group to order 2n - m and each extra group to order n, not
+    # every group to the shortest group's order
+    main = gaussian(1, 14).moments
+    extras = [centered_poisson(2, 14).moments, gamma_f(3, 14).moments][: m - 1]
+    exact = [main[: 2 * n - m + 1]] + [g[: n + 1] for g in extras]
+    want = gops_determinant(MomentFunctional((main, *extras)), n, m)
+    assert gops_determinant(MomentFunctional(tuple(exact)), n, m) == want
+    assert gops_route_ratio(MomentFunctional(tuple(exact)), n, m) == math.factorial(n - m + 1)
+    for j in range(m):
+        short = list(exact)
+        short[j] = short[j][:-1]
+        with pytest.raises(OrthopolyError, match=f"order {2 * n - m}" if j == 0 else f"group {j} .* need {n}"):
+            gops_determinant(MomentFunctional(tuple(short)), n, m)
+
+
+def test_determinant_route_equals_the_expectation_route_with_a_short_extra_group():
+    Fs = MomentFunctional((gaussian(1, 14).moments, centered_poisson(2, 14).moments[:5]))
+    assert gops_expectation(Fs, 4, 2) == (72, 180, -144, -60, 24)
+    assert gops_determinant(Fs, 4, 2) == (12, 30, -24, -10, 4)
+    assert gops_route_ratio(Fs, 4, 2) == 6
+
+
+def test_recurrence_reads_the_main_group_only():
+    N = 4
+    main = gaussian(1, 2 * N).moments
+    want = recurrence_coeffs(G, N)
+    assert recurrence_coeffs(MomentFunctional((main, (F(1),))), N) == want
+    with pytest.raises(OrthopolyError, match=f"order {2 * N}"):
+        recurrence_coeffs(MomentFunctional((main[: 2 * N],)), N)
+
+
 def test_single_group_higher_m_is_degenerate():
     # with identical auxiliary rows the determinant has two equal rows
     with pytest.raises(DegenerateError):

@@ -1,6 +1,9 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from homsum.moments import SumSpec, moment_exact
 from homsum.partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 from homsum.stochsim import (
     CUMULANT_GROUPS,
+    _normal_quantiles,
     _stream,
     JumpPath,
     Sampler,
@@ -28,12 +32,18 @@ from homsum.stochsim import (
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 
 
+def philox(seed, task):
+    """Stream (seed, task) from numpy's own constructor, the referee of the
+    library's re-keyed streams."""
+    return np.random.Generator(np.random.Philox(key=seed + (task << 32)))
+
+
 def test_stream_determinism():
     s = Sampler("gaussian", seed=42)
     assert np.array_equal(s.draw(64, task=3), s.draw(64, task=3))
     assert not np.array_equal(s.draw(64, task=4), s.draw(64, task=3))
     assert not np.array_equal(Sampler("gaussian", seed=43).draw(64, task=3), s.draw(64, task=3))
-    assert np.array_equal(s.draw_from(_stream(42, 3), 64), s.draw(64, task=3))
+    assert np.array_equal(s.draw_from(philox(42, 3), 64), s.draw(64, task=3))
 
 
 @pytest.mark.parametrize(
@@ -107,6 +117,90 @@ def test_stream_rejects_seed_and_task_outside_32_bits():
             Sampler("gaussian", seed=seed).draw(4, task=task)
     top = Sampler("gaussian", seed=2**32 - 1).draw(4, task=2**32 - 1)
     assert top.shape == (4,)
+    held = _stream(1, 2)
+    with pytest.raises(ValueError):
+        _stream(2**32, 0, held)
+
+
+def draw_all(rng):
+    return (
+        rng.poisson(3.0, size=5).tolist(),
+        rng.uniform(-1.0, 2.0, size=7).tolist(),
+        rng.standard_normal(9).tolist(),
+        rng.choice([-1.0, 0.0, 2.0], size=6, p=[0.5, 0.25, 0.25]).tolist(),
+        rng.integers(0, 1000, size=5).tolist(),
+        rng.integers(0, 10, size=5, dtype=np.int32).tolist(),
+        rng.poisson(0.2),
+        rng.standard_normal(),
+    )
+
+
+def test_rekeyed_generator_matches_a_fresh_one():
+    keys = [(0, 0), (7, 3), (2**32 - 1, 2**32 - 1), (11, 7_000_005)]
+    for seed, task in keys:
+        assert draw_all(_stream(seed, task)) == draw_all(philox(seed, task))
+    held = _stream(5, 5)
+    for seed, task in keys:
+        for use in ("none", "uint32", "half_buffer", "both"):
+            held = _stream(5, 6, held)
+            if use in ("uint32", "both"):
+                held.integers(0, 10, dtype=np.int32)  # leaves the other 32-bit half cached
+                assert held.bit_generator.state["has_uint32"] == 1
+            if use in ("half_buffer", "both"):
+                held.random()
+                assert 0 < held.bit_generator.state["buffer_pos"] < 4
+            assert _stream(seed, task, held) is held
+            assert draw_all(held) == draw_all(philox(seed, task)), (seed, task, use)
+
+
+def test_per_path_loops_build_at_most_two_generators(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    disc = Sampler("discrete", seed=23, params={"values": [1.0, 2.0], "probs": [0.5, 0.5]})
+    for paths in (4, 60, 600):
+        built.clear()
+        variations_cumulant_check(2.0, disc, disc.law_spec(8), 0.5, 1.0, (1, 2), paths, seed=27)
+        assert len(built) <= 2, (paths, len(built))
+        built.clear()
+        kstat_experiment(gaussian_cell_sampler, 1.0, 2, 10, paths, 1.0, seed=17)
+        assert len(built) <= 2, (paths, len(built))
+
+
+def test_concurrent_variations_checks_agree_with_serial_runs():
+    disc = Sampler("discrete", seed=23, params={"values": [1.0, 2.0], "probs": [0.5, 0.5]})
+    rad = Sampler("rademacher", seed=29)
+    calls = [
+        (2.0, disc, disc.law_spec(8), 0.5, 1.0, (1, 2), 400, 27),
+        (3.0, rad, rad.law_spec(8), 0.0, 1.0, (2, 2), 400, 28),
+    ]
+    serial = [variations_cumulant_check(*args) for args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(variations_cumulant_check, *args) for args in calls]
+                assert [f.result(timeout=60) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_normal_quantile_grid_is_shared_read_only_and_unchanged():
+    x = np.random.default_rng(3).standard_normal(501)
+    nd = NormalDist()
+    q = np.array([nd.inv_cdf((i + 0.5) / 501) for i in range(501)])
+    want = float(np.mean(np.abs(np.sort(x) - q)))
+    assert wasserstein1_empirical(x) == want
+    assert wasserstein1_empirical(x) == want
+    grid = _normal_quantiles(501)
+    assert grid is _normal_quantiles(501) and not grid.flags.writeable
+    assert grid.tobytes() == q.tobytes()
 
 
 def test_invariance_decay_offdiag_family():
@@ -291,20 +385,20 @@ def scalar_kstat(cell, n, refinement, paths, horizon, seed):
     measure = horizon / refinement
     stats = np.empty(paths)
     for p in range(paths):
-        rng = _stream(seed, task=p)
+        rng = philox(seed, p)
         cells = np.array([cell(measure, rng) for _ in range(refinement)])
         stats[p] = float(np.sum(cells**n))
     return float(np.mean(stats)), float(np.std(stats, ddof=1) / math.sqrt(paths))
 
 
 def scalar_path(lam, jump_sampler, sigma2, horizon, seed, task):
-    rng = _stream(seed, task)
+    rng = philox(seed, task)
     count = int(rng.poisson(lam * horizon))
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
             times[i] = np.nextafter(times[i - 1], np.inf)
-    jumps = jump_sampler.draw(count, task=task + 7_000_000) if count else np.array([])
+    jumps = jump_sampler.draw_from(philox(jump_sampler.seed, task + 7_000_000), count) if count else np.array([])
     level = math.sqrt(sigma2 * horizon) * rng.standard_normal() if sigma2 > 0 else 0.0
     return JumpPath(horizon, tuple(times.tolist()), tuple(jumps.tolist()), sigma2, lam, level)
 
@@ -357,13 +451,13 @@ def test_sample_homsum_matches_the_entry_loop_bitwise():
 
 def test_cell_samplers_draw_what_scalar_cells_drew():
     for count in (0, 1, 5, 200):
-        rng, ref = _stream(8, 1), _stream(8, 1)
+        rng, ref = philox(8, 1), philox(8, 1)
         want = np.array([scalar_gaussian_cell(0.3, ref) for _ in range(count)], dtype=float)
         assert gaussian_cell_sampler(0.3, rng, count).tobytes() == want.tobytes()
     for smp in LAWS:
         cells = compound_poisson_cell_sampler(1.7, smp.draw_from)
         cell = scalar_compound_poisson_cell(1.7, smp.draw_from)
-        rng, ref = _stream(9, 2), _stream(9, 2)
+        rng, ref = philox(9, 2), philox(9, 2)
         want = np.array([cell(0.4, ref) for _ in range(50)])
         assert cells(0.4, rng, 50).tobytes() == want.tobytes()
         assert rng.random() == ref.random()  # both streams left at the same point
