@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -60,10 +59,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(asdict(x))
-    if isinstance(x, SetPartition):
-        return str(x)
     if hasattr(x, "tolist"):
         return _jsonable(x.tolist())
     return x

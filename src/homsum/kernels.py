@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 Scalar = Fraction | float
-
-FLAG_CHECK_LIMIT = 10**6
 
 
 class KernelError(ValueError):
@@ -57,34 +55,21 @@ class Kernel:
         return self.values.items()
 
     @cached_property
-    def is_symmetric(self) -> Optional[bool]:
-        if self.d <= 1:
-            return True
-        if self._flag_cost() > FLAG_CHECK_LIMIT:
-            return None
-        for idx, v in self.values.items():
-            for perm in itertools.permutations(idx):
-                if self.values.get(perm, self._zero) != v:
-                    return False
-        return True
+    def is_symmetric(self) -> bool:
+        """Every permutation orbit of the nonzero support is fully present
+        and holds one value."""
+        return all(
+            len(vs) == _orbit_size(key) and all(v == vs[0] for v in vs)
+            for key, vs in _orbits((i, v) for i, v in self.values.items() if v).items()
+        )
 
     @cached_property
-    def is_mirror_symmetric(self) -> Optional[bool]:
-        if self.d <= 1:
-            return True
-        if self._flag_cost() > FLAG_CHECK_LIMIT:
-            return None
-        for idx, v in self.values.items():
-            if self.values.get(idx[::-1], self._zero) != v:
-                return False
-        return True
+    def is_mirror_symmetric(self) -> bool:
+        return all(self.values.get(idx[::-1], self._zero) == v for idx, v in self.values.items())
 
     @cached_property
     def vanishes_on_diagonals(self) -> bool:
         return all(len(set(idx)) == len(idx) for idx in self.values)
-
-    def _flag_cost(self) -> int:
-        return len(self.values) * max(math.factorial(min(self.d, 10)), 1)
 
     def norm_sq(self) -> Scalar:
         return sum((v * v for v in self.values.values()), self._zero)
@@ -111,6 +96,25 @@ class Kernel:
         return Kernel(self.n, self.d, {k: float(v) for k, v in self.values.items()}, "float")
 
 
+def _orbits(entries: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict[tuple[int, ...], list[Scalar]]:
+    """The values of (index, value) pairs grouped by permutation orbit, each
+    orbit keyed by its sorted index."""
+    out: dict[tuple[int, ...], list[Scalar]] = {}
+    for idx, v in entries:
+        out.setdefault(tuple(sorted(idx)), []).append(v)
+    return out
+
+
+def _orbit_size(key: tuple[int, ...]) -> int:
+    """d! / prod mult!: the number of distinct permutations of ``key``."""
+    return math.factorial(len(key)) // math.prod(math.factorial(key.count(i)) for i in set(key))
+
+
+def _on_orbits(values: Mapping[tuple[int, ...], Scalar]) -> dict[tuple[int, ...], Scalar]:
+    """Each nonzero orbit value set on every permutation of its key."""
+    return {perm: v for key, v in values.items() if v for perm in set(itertools.permutations(key))}
+
+
 def build_kernel(
     n: int,
     d: int,
@@ -121,8 +125,9 @@ def build_kernel(
     """Assemble a kernel from (index, value) pairs.
 
     Duplicate indices are allowed only when the values agree; with
-    ``symmetrize`` the result is the average of the input over all index
-    permutations (the standard symmetrization).
+    ``symmetrize`` each permutation orbit takes the mean of the values given
+    in it, so a single entry keeps its value on its whole orbit and a fully
+    given f gets the standard symmetrization.
     """
     raw: dict[tuple[int, ...], Scalar] = {}
     for idx, val in entries:
@@ -138,25 +143,8 @@ def build_kernel(
             raise KernelError(f"conflicting duplicate entries at {idx}")
         raw[idx] = val
     if symmetrize and d >= 2:
-        # entries name orbit representatives: average the provided values in
-        # each permutation orbit and replicate (a single given entry keeps its
-        # value on the whole orbit; a fully specified f gets the standard
-        # symmetrization average)
         zero = Fraction(0) if mode == "exact" else 0.0
-        orbit_sum: dict[tuple[int, ...], Scalar] = {}
-        orbit_count: dict[tuple[int, ...], int] = {}
-        for idx, v in raw.items():
-            key = tuple(sorted(idx))
-            orbit_sum[key] = orbit_sum.get(key, zero) + v
-            orbit_count[key] = orbit_count.get(key, 0) + 1
-        sym: dict[tuple[int, ...], Scalar] = {}
-        for key, s in orbit_sum.items():
-            cnt = orbit_count[key]
-            avg = s / cnt if mode == "float" else s * Fraction(1, cnt)
-            if avg:
-                for perm in set(itertools.permutations(key)):
-                    sym[perm] = avg
-        raw = sym
+        raw = _on_orbits({key: sum(vs, zero) / len(vs) for key, vs in _orbits(raw.items()).items()})
     raw = {k: v for k, v in raw.items() if v}
     return Kernel(n, d, raw, mode)
 
@@ -193,7 +181,7 @@ def validate(f: Kernel, flavor: str) -> dict:
         "flavor": flavor,
         "clauses": clauses,
         "variance": variance,
-        "passed": all(v is True for v in clauses.values()),
+        "passed": all(clauses.values()),
     }
 
 
@@ -382,34 +370,35 @@ def kernel_from_json(text: str) -> Kernel:
         raise KernelError(f"malformed kernel JSON: {type(e).__name__}: {e}") from None
 
 
-def offdiag_kernel(n: int, value: Scalar = Fraction(1), mode: str = "exact") -> Kernel:
-    """Constant off-diagonal quadratic kernel: f(i, j) = value for i != j.
+def offdiag_kernel(n: int) -> Kernel:
+    """Exact off-diagonal quadratic kernel: f(i, j) = 1 for i != j.
 
-    With value 1/sqrt(2n(n-1)) (classical) or 1/sqrt(n(n-1)) (free) this is
-    the fully spread, vanishing-influence family; exact tests keep value = 1
-    and rescale results by the rational squared normalization.
+    Scaled by 1/sqrt(2n(n-1)) (classical) or 1/sqrt(n(n-1)) (free) this is
+    the fully spread, vanishing-influence family; exact callers rescale
+    results by the rational squared normalization.
     """
-    entries = [((i, j), value) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return build_kernel(n, 2, entries, mode=mode)
+    entries = [((i, j), 1) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return build_kernel(n, 2, entries)
 
 
-def star_kernel(n: int, value: Scalar = Fraction(1), mode: str = "exact") -> Kernel:
-    """Star-shaped quadratic kernel: f(i, j) = value when i != j and 1 in {i, j}.
+def star_kernel(n: int) -> Kernel:
+    """Exact star-shaped quadratic kernel: f(i, j) = 1 when i != j and 1 in {i, j}.
 
     Its maximal influence does not vanish with n, so it is the canonical
     counterexample family for universality diagnostics.
     """
-    entries = [((1, j), value) for j in range(2, n + 1)]
-    entries += [((j, 1), value) for j in range(2, n + 1)]
-    return build_kernel(n, 2, entries, mode=mode)
+    entries = [((1, j), 1) for j in range(2, n + 1)]
+    entries += [((j, 1), 1) for j in range(2, n + 1)]
+    return build_kernel(n, 2, entries)
 
 
-def avoid_first_kernel(n: int, value: Scalar = Fraction(1), mode: str = "exact") -> Kernel:
-    """Off-diagonal quadratic kernel supported away from index 1."""
+def avoid_first_kernel(n: int) -> Kernel:
+    """Exact off-diagonal quadratic kernel away from index 1: f(i, j) = 1 for
+    i != j with i, j >= 2."""
     entries = [
-        ((i, j), value) for i in range(2, n + 1) for j in range(2, n + 1) if i != j
+        ((i, j), 1) for i in range(2, n + 1) for j in range(2, n + 1) if i != j
     ]
-    return build_kernel(n, 2, entries, mode=mode)
+    return build_kernel(n, 2, entries)
 
 
 def scale_to_unit_variance(f: Kernel, flavor: str) -> Kernel:

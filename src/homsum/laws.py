@@ -163,6 +163,14 @@ def convert(seq: Sequence[Fraction], direction: str, kind: str) -> tuple[Fractio
     return tuple(moms if to_moments else cums)
 
 
+def _binomial_shift(moments: Sequence[Fraction], t: Fraction) -> tuple[Fraction, ...]:
+    """Moments of X + t from the moments of X: sum_j binom(k, j) m_j t^(k-j)."""
+    return tuple(
+        sum((math.comb(k, j) * moments[j] * t ** (k - j) for j in range(k + 1)), Fraction(0))
+        for k in range(len(moments))
+    )
+
+
 def _law_from_cumulants(name, kind, cums, max_order) -> LawSpec:
     cums = tuple(cums[: max_order + 1])
     moments = convert(cums, "cumulants_to_moments", kind)
@@ -212,16 +220,11 @@ def gamma_f(nu, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     nu = Fraction(nu)
     if nu <= 0:
         raise LawError("nu must be > 0")
-    a = nu / 2
-    gamma_moms = [Fraction(1)]
+    # E[(2G)^k] = 2^k a (a+1) ... (a+k-1) with a = nu/2; F is 2G shifted by -nu
+    moms = [Fraction(1)]
     for k in range(1, max_order + 1):
-        gamma_moms.append(gamma_moms[-1] * (a + k - 1))
-    moms = []
-    for k in range(max_order + 1):
-        acc = Fraction(0)
-        for j in range(k + 1):
-            acc += math.comb(k, j) * (Fraction(2) ** j) * gamma_moms[j] * ((-nu) ** (k - j))
-        moms.append(acc)
+        moms.append(moms[-1] * (nu + 2 * k - 2))
+    moms = _binomial_shift(moms, -nu)
     return _law_from_moments("gamma_f", "classical", moms)
 
 
@@ -387,41 +390,30 @@ def multivariate_cumulant(
     return kappa[(1 << n) - 1]
 
 
-def poly_eval_chebyshev(h: int, x):
-    """Chebyshev polynomial of the second kind U_h at x (three-term recurrence)."""
+def _three_term(name: str, h: int, x, shift, weight: Callable[[int], object]):
+    """P_h(x) for P_0 = 1, P_1 = x and P_{k+1} = (x - shift) P_k - weight(k) P_{k-1}."""
     if h < 0:
-        raise LawError("h must be >= 0")
+        raise LawError(f"{name} must be >= 0")
     prev, cur = 1, x
-    if h == 0:
-        return prev * 1
-    for _ in range(h - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
+    for k in range(1, h):
+        prev, cur = cur, (x - shift) * cur - weight(k) * prev
+    return cur if h else prev
+
+
+def poly_eval_chebyshev(h: int, x):
+    """Chebyshev polynomial of the second kind U_h at x."""
+    return _three_term("h", h, x, 0, lambda k: 1)
 
 
 def poly_eval_hermite(h: int, x):
     """Monic (probabilists') Hermite polynomial H_h at x."""
-    if h < 0:
-        raise LawError("h must be >= 0")
-    prev, cur = 1, x
-    if h == 0:
-        return prev * 1
-    for k in range(1, h):
-        prev, cur = cur, x * cur - k * prev
-    return cur
+    return _three_term("h", h, x, 0, lambda k: k)
 
 
 def free_charlier(k: int, x, t):
     """Free Charlier polynomial C_{0,k}(x, t): C_0 = 1, C_1 = x,
     C_{m+1} = (x - 1) C_m - t C_{m-1}."""
-    if k < 0:
-        raise LawError("k must be >= 0")
-    prev, cur = 1, x
-    if k == 0:
-        return prev * 1
-    for _ in range(k - 1):
-        prev, cur = cur, (x - 1) * cur - t * prev
-    return cur
+    return _three_term("k", k, x, 1, lambda m: t)
 
 
 def law_to_json(law: LawSpec) -> str:

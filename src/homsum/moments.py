@@ -40,12 +40,12 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
-from .kernels import LiftedKernel
+from .kernels import LiftedKernel, _on_orbits, _orbit_size, _orbits
 from .laws import LawSpec, gaussian, semicircle
 from .partitions import (
     DEFAULT_SIZE_CAP,
     PartitionFilter,
-    SetPartition,
+    _factor_layout,
     _union_classes,
     _walk,
     respectful_pairings,
@@ -129,18 +129,6 @@ def _cumulant_support(laws: Sequence[LawSpec], largest: int) -> frozenset[int]:
             if l.cumulant(s) != 0:
                 sizes.add(s)
     return frozenset(sizes)
-
-
-def _factor_layout(degrees: Sequence[int]) -> SetPartition:
-    """Interval partition of the positions 1..sum(degrees) into one block per
-    factor.  Zero-degree factors contribute no positions."""
-    blocks = []
-    p = 1
-    for deg in degrees:
-        if deg:
-            blocks.append(tuple(range(p, p + deg)))
-            p += deg
-    return SetPartition(p - 1, tuple(blocks))
 
 
 def _integer_scaled(values: Mapping) -> tuple[dict, int]:
@@ -451,12 +439,8 @@ def _fourth_class_sums(f: Kernel, cap: int) -> tuple[Fraction, tuple[Fraction, .
     base = _standard_fourth(f, "classical", cap)
     d = f.d
     # g: the average of f over all d! orders of its arguments
-    sym: dict[tuple[int, ...], Fraction] = {}
-    for idx, v in f.values.items():
-        v /= math.factorial(d)
-        for perm in itertools.permutations(idx):
-            sym[perm] = sym.get(perm, 0) + v
-    g = Kernel(f.n, d, {k: v for k, v in sym.items() if v}, f.mode)
+    means = {key: sum(vs) / _orbit_size(key) for key, vs in _orbits(f.values.items()).items()}
+    g = Kernel(f.n, d, _on_orbits(means), f.mode)
     terms, counts = [], []
     for m in range(1, d + 1):
         acc = Fraction(0)

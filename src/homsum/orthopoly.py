@@ -22,12 +22,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .laws import LawSpec
+from .laws import LawSpec, _binomial_shift
 
 if TYPE_CHECKING:
     import numpy as np
 
 Poly = tuple[Fraction, ...]
+MultiPoly = dict[tuple[int, ...], Fraction]
 
 # most exact determinants the expectation route may take, r!(n+1)
 EXPECTATION_GUARD = 10**4
@@ -180,14 +181,6 @@ def _pfaffian(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # moment functionals
-
-
-def _binomial_shift(moments: Sequence[Fraction], t: Fraction) -> tuple[Fraction, ...]:
-    """Moments of X + t from the moments of X: sum_j binom(k, j) m_j t^(k-j)."""
-    return tuple(
-        sum((math.comb(k, j) * moments[j] * t ** (k - j) for j in range(k + 1)), Fraction(0))
-        for k in range(len(moments))
-    )
 
 
 @dataclass(frozen=True)
@@ -612,53 +605,37 @@ def _vandermonde_callable(N: int, power: int) -> Callable[..., complex]:
     return P
 
 
-MultiPoly = dict[tuple[int, ...], Fraction]
+def _vandermonde_expectation(F: MomentFunctional, n: int, k: int, p: int) -> Poly:
+    """E[Delta(X_1..X_n)^(2k) prod_i (X_i - x)^p] as a polynomial in x, for
+    X_1..X_n i.i.d. under the main group; reads moments to order 2k(n-1) + p.
 
-
-def _mp_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    out: MultiPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(key, Fraction(0)) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        if len(out) > MONOMIAL_GUARD:
+    The integer polynomial is multiplied out one linear factor at a time,
+    refusing more than MONOMIAL_GUARD monomials, and each monomial is then
+    factorized by independence.  A monomial is stored as one integer, the sum
+    of exponent * base^slot with X_1..X_n in slots 0..n-1 and x in slot n;
+    no exponent reaches the base."""
+    base = 2 * k * (n - 1) + p + 1
+    factors = [(j, i) for i in range(n) for j in range(i + 1, n) for _ in range(2 * k)]
+    factors += [(i, n) for i in range(n) for _ in range(p)]
+    acc = {0: 1}
+    for plus, minus in factors:  # times (x_plus - x_minus)
+        up, down = base**plus, base**minus
+        out = {e + up: c for e, c in acc.items()}
+        for e, c in acc.items():
+            out[e + down] = out.get(e + down, 0) - c
+        acc = {e: c for e, c in out.items() if c}
+        if len(acc) > MONOMIAL_GUARD:
             raise OrthopolyError("monomial expansion exceeds the feasibility guard")
-    return out
-
-
-def _vandermonde_power(N: int, power: int, extra_vars: int = 0) -> MultiPoly:
-    """(prod_{i<j} (x_j - x_i))^power over N variables (indices 0..N-1),
-    carried in exponent tuples of length N + extra_vars."""
-    width = N + extra_vars
-    acc: MultiPoly = {tuple([0] * width): Fraction(1)}
-    one = Fraction(1)
-    for i in range(N):
-        for j in range(i + 1, N):
-            ej = [0] * width
-            ej[j] = 1
-            ei = [0] * width
-            ei[i] = 1
-            lin = {tuple(ej): one, tuple(ei): -one}
-            for _ in range(power):
-                acc = _mp_mul(acc, lin)
-    return acc
-
-
-def _independent_expectations(poly: MultiPoly, F: MomentFunctional, n: int):
-    """Take the expectation of each monomial of ``poly`` over its first n
-    variables, i.i.d. under the main law, by independence: yields (the
-    exponents of the remaining variables, the monomial's expectation)."""
-    for exps, coeff in poly.items():
-        term = coeff
-        for e in exps[:n]:
-            term *= F.moment(0, e)
-            if term == 0:
-                break
-        yield exps[n:], term
+    moments = [F.moment(0, s) for s in range(base)]
+    coeffs = [Fraction(0)] * (n * p + 1)
+    for e, c in acc.items():
+        power, e = divmod(e, base**n)
+        term = Fraction(c)
+        while term and e:
+            e, s = divmod(e, base)
+            term *= moments[s]
+        coeffs[power] += term
+    return poly_trim(coeffs)
 
 
 def discriminant_moment(
@@ -696,8 +673,7 @@ def discriminant_moment(
             a = [[(j - i) * m[i + j - 1] if i != j else Fraction(0) for j in range(2 * N)]
                  for i in range(2 * N)]
             return math.factorial(N) * _pfaffian(a)
-        terms = _independent_expectations(_vandermonde_power(N, 2 * k), F, N)
-        return sum((term for _, term in terms), Fraction(0))
+        return _vandermonde_expectation(F, N, k, 0)[0]
     if method == "quadrature":
         n = k * (N - 1) + 1
         rule = quadrature_rule(F, n)
@@ -737,25 +713,11 @@ def discriminant_product_poly(F: MomentFunctional, n: int, k: int) -> Poly:
     polynomial of p_{n,1} in ``gops_determinant`` (the monomial row on top
     carries the sign (-1)^n of prod (X_i - x)).  A degenerate law, whose
     Hankel determinant D_n vanishes, gives the zero polynomial.  k >= 2 by
-    sparse monomial expansion and independence factorization.  Reads moments
-    to order 2kn - 1."""
+    monomial expansion and independence factorization.  Reads moments to
+    order 2kn - 1."""
     if k == 1:
         return poly_trim([math.factorial(n) * c for c in _gops_cofactors(F, n, 1)])
-    width = n + 1  # variables X_1..X_n plus x at slot n
-    acc = _vandermonde_power(n, 2 * k, extra_vars=1)
-    one = Fraction(1)
-    for i in range(n):
-        ei = [0] * width
-        ei[i] = 1
-        ex = [0] * width
-        ex[n] = 1
-        lin = {tuple(ei): one, tuple(ex): -one}
-        for _ in range(2 * k - 1):
-            acc = _mp_mul(acc, lin)
-    coeffs = [Fraction(0)] * (n * (2 * k - 1) + 1)
-    for (power,), term in _independent_expectations(acc, F, n):
-        coeffs[power] += term
-    return poly_trim(coeffs)
+    return _vandermonde_expectation(F, n, k, 2 * k - 1)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 DEFAULT_SIZE_CAP = 14
 
@@ -84,7 +84,7 @@ class SetPartition:
 
     @property
     def block_of(self) -> dict[int, int]:
-        return _block_index(self)
+        return _block_index_cached(self.blocks)
 
     def partition_class(self) -> tuple[int, ...]:
         """Block-size census as a descending integer partition of n."""
@@ -126,16 +126,21 @@ def _block_index_cached(blocks: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     return out
 
 
-def _block_index(p: SetPartition) -> dict[int, int]:
-    return _block_index_cached(p.blocks)
-
-
 def interval_partition(block_size: int, num_blocks: int) -> SetPartition:
     """The interval partition d^(x)m: num_blocks consecutive blocks of block_size."""
-    blocks = tuple(
-        tuple(range(l * block_size + 1, (l + 1) * block_size + 1)) for l in range(num_blocks)
-    )
-    return SetPartition(block_size * num_blocks, blocks)
+    return _factor_layout((block_size,) * num_blocks)
+
+
+def _factor_layout(degrees: Sequence[int]) -> SetPartition:
+    """Interval partition of the positions 1..sum(degrees) into one block per
+    factor.  Zero-degree factors contribute no positions."""
+    blocks = []
+    p = 1
+    for deg in degrees:
+        if deg:
+            blocks.append(tuple(range(p, p + deg)))
+            p += deg
+    return SetPartition(p - 1, tuple(blocks))
 
 
 def kernel_of(indices) -> SetPartition:
@@ -414,7 +419,6 @@ def riordan(m: int, cap: int = DEFAULT_SIZE_CAP) -> int:
     """Number of non-crossing partitions of [m] with no singleton block."""
     if m == 0:
         return 1
-    _check_cap(m, cap)
     no_singletons = PartitionFilter(noncrossing=True, allowed_block_sizes=range(2, m + 1))
     return count_partitions(m, no_singletons, cap)
 

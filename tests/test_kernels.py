@@ -68,6 +68,18 @@ def test_build_and_flags():
     assert asym.is_symmetric is False and asym.vanishes_on_diagonals
 
 
+def test_symmetry_flags_are_exact_at_any_size():
+    full = build_kernel(8, 8, [(p, F(1)) for p in itertools.permutations(range(1, 9))])
+    assert len(full.values) == 40320
+    assert full.is_symmetric is True and full.is_mirror_symmetric is True
+    one = build_kernel(10, 10, [(tuple(range(1, 11)), F(1))])
+    assert one.is_symmetric is False and one.is_mirror_symmetric is False
+    assert validate(one, "mirror")["clauses"]["mirror_symmetric"] is False
+    # a stored zero reads like an absent entry
+    assert Kernel(2, 2, {(1, 2): F(0)}).is_symmetric is True
+    assert Kernel(2, 2, {(1, 2): F(1), (2, 1): F(0)}).is_symmetric is False
+
+
 def test_build_rejects_bad_entries():
     with pytest.raises(KernelError):
         build_kernel(2, 2, [((1, 3), F(1))])

@@ -401,6 +401,34 @@ def test_discriminant_determinant_forms_equal_the_monomial_expansion(discriminan
             assert discriminant_moment(Fm, N, 2) == discriminant_referee.moment(Fm, N, 2), (Fm, N)
 
 
+def test_sixth_discriminant_moment_and_product_polys_equal_the_referee(discriminant_referee):
+    for Fm in builtin_functionals(16):
+        for N in range(1, 4):
+            assert discriminant_moment(Fm, N, 3) == discriminant_referee.moment(Fm, N, 3), (Fm, N)
+        for n, k in [(2, 2), (3, 2), (2, 3)]:
+            assert discriminant_product_poly(Fm, n, k) == discriminant_referee.product_poly(Fm, n, k), (Fm, n, k)
+
+
+def test_sixth_discriminant_moment_reaches_the_gaussian_closed_form():
+    for s2 in (1, F(4)):
+        Fm = MomentFunctional.from_law(gaussian(s2, 18))
+        for N in range(1, 5):
+            assert discriminant_moment(Fm, N, 3) == discriminant_moment(Fm, N, 3, "lu_gaussian"), (s2, N)
+
+
+def test_monomial_guard_refuses_before_any_moment_is_read(monkeypatch):
+    import homsum.orthopoly as O
+
+    monkeypatch.setattr(O, "MONOMIAL_GUARD", 20)
+    m0_only = MomentFunctional(((F(1),),))
+    with pytest.raises(OrthopolyError, match="feasibility guard"):
+        discriminant_moment(m0_only, 3, 3)
+    with pytest.raises(OrthopolyError, match="feasibility guard"):
+        discriminant_product_poly(m0_only, 2, 2)
+    # (X_2 - X_1)^6 has 7 monomials, and X_2 - X_1 ~ N(0, 2) gives 15 * 2^3
+    assert discriminant_moment(G, 2, 3) == 120
+
+
 # small rationals with zeros and signs: the drawn functionals need not be
 # positive, so Hankel and Pfaffian pivots vanish and the Pfaffian swaps
 DRAWN_MOMENTS = st.lists(

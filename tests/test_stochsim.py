@@ -311,7 +311,7 @@ def test_stein_bound_dominates_mc_wasserstein():
     from homsum.kernels import offdiag_kernel as odk
     from homsum.moments import SumSpec as Spec, stein_wasserstein_bound
 
-    f = odk(9, value=F(1, 12))
+    f = odk(9).scaled(F(1, 12))
     spec = Spec(f, gaussian(1, 10))
     rep = stein_wasserstein_bound(spec, abs_third_moment=2.0 * math.sqrt(2.0 / math.pi))
     sample = sample_homsum(f.to_float(), Sampler("gaussian", seed=77), 50_000)
