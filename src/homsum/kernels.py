@@ -8,13 +8,12 @@ simulation-facing code.  Norms are reported squared in exact mode.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Scalar = Fraction | float
 
@@ -110,9 +109,28 @@ def _orbit_size(key: tuple[int, ...]) -> int:
     return math.factorial(len(key)) // math.prod(math.factorial(key.count(i)) for i in set(key))
 
 
+def _distinct_permutations(key: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of the multiset ``key``, in lexicographic
+    order (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    a = sorted(key)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        j = last - 1
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        k = last
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1:] = a[last:j:-1]
+
+
 def _on_orbits(values: Mapping[tuple[int, ...], Scalar]) -> dict[tuple[int, ...], Scalar]:
     """Each nonzero orbit value set on every permutation of its key."""
-    return {perm: v for key, v in values.items() if v for perm in set(itertools.permutations(key))}
+    return {perm: v for key, v in values.items() if v for perm in _distinct_permutations(key)}
 
 
 def build_kernel(

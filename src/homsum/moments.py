@@ -25,6 +25,12 @@ primitive assigns blocks depth first and multiplies in each entry as soon as
 its factor's last block is set, so a zero entry or weight cuts off the whole
 subtree below it.
 
+A permutation of the copies of one kernel leaves a partition's block sum
+unchanged, so :func:`joint_moment` takes one block sum per orbit of
+partitions, times the orbit's size (:func:`_respectful_orbits`): under the
+permutations of equal copies classically, under the rotations that keep the
+word in the free kind.
+
 Both routes are exact rational end to end; the oracle stays on plain
 Fractions.
 """
@@ -118,6 +124,84 @@ def _respectful_blocks(
     )
     D = sum(degrees)
     return tuple(_walk(D, filt, cap))
+
+
+def _copy_maps(pattern: tuple[int, ...], degrees: tuple[int, ...], noncrossing: bool) -> list[list[int]]:
+    """Position maps (p -> image of p, index 0 unused) generating the factor
+    copy permutations that keep the value of every partition's block sum.
+
+    ``pattern[j]`` names the kernel of factor j.  Classically any permutation
+    of the copies of one kernel keeps the respectful partitions respectful:
+    the copies' transposition and cycle generate those.  In the free kind
+    only rotations keep partitions non-crossing; the rotation by the word's
+    smallest period generates every rotation that keeps the word.
+    """
+    starts = list(itertools.accumulate(degrees, initial=1))
+    D = starts[-1] - 1
+    if noncrossing:
+        m = len(pattern)
+        period = next((p for p in range(1, m) if pattern[p:] + pattern[:p] == pattern), None)
+        if period is None:
+            return []
+        shift = starts[period] - 1
+        return [[0] + [(q + shift - 1) % D + 1 for q in range(1, D + 1)]]
+    copies: dict[int, list[int]] = {}
+    for j, c in enumerate(pattern):
+        copies.setdefault(c, []).append(j)
+    cycles = []
+    for js in copies.values():
+        if len(js) >= 2:
+            cycles.append(js[:2])
+        if len(js) >= 3:
+            cycles.append(js)
+    maps = []
+    for cycle in cycles:
+        pi = list(range(D + 1))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            for t in range(degrees[a]):
+                pi[starts[a] + t] = starts[b] + t
+        maps.append(pi)
+    return maps
+
+
+@lru_cache(maxsize=4096)
+def _respectful_orbits(
+    pattern: tuple[int, ...],
+    degrees: tuple[int, ...],
+    noncrossing: bool,
+    sizes: frozenset[int],
+    cap: int,
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """The partitions of :func:`_respectful_blocks` grouped into orbits under
+    the copy permutations of :func:`_copy_maps`, as (the orbit's first
+    partition, the orbit's size) pairs in restricted-growth order.
+
+    Block sums are equal along an orbit, so the lattice sum takes one per
+    orbit, times its size.  A partition is keyed by the integer whose field
+    p holds the least position of p's block: the sum of its blocks' codes.
+    Each distinct block is coded once per map, so a partition's image key
+    is a sum of lookups.
+    """
+    parts = _respectful_blocks(degrees, noncrossing, sizes, cap)
+    maps = _copy_maps(pattern, degrees, noncrossing) if len(parts) > 1 else []
+    if not maps:
+        return tuple((blocks, 1) for blocks in parts)
+    D = sum(degrees)
+    field = [1 << p * D.bit_length() for p in range(D + 1)]
+
+    def code(b) -> int:
+        return min(b) * sum(map(field.__getitem__, b))
+
+    def keys(coded: dict):
+        return map(sum, map(map, itertools.repeat(coded.__getitem__), parts))
+
+    distinct = dict.fromkeys(itertools.chain.from_iterable(parts))
+    index = dict(zip(keys({b: code(b) for b in distinct}), itertools.count(1)))
+    images = (keys({b: code(list(map(pi.__getitem__, b))) for b in distinct}) for pi in maps)
+    links = (
+        (i, j) for image in images for i, j in enumerate(map(index.__getitem__, image), 1) if i != j
+    )
+    return tuple((parts[c[0] - 1], len(c)) for c in _union_classes(len(parts), links))
 
 
 def _cumulant_support(laws: Sequence[LawSpec], largest: int) -> frozenset[int]:
@@ -254,6 +338,8 @@ def joint_moment(
 
     # a respectful block holds at most one position of each factor
     active = [s for s in word if kernels[s].d > 0]
+    first: dict[int, int] = {}
+    pattern = tuple(first.setdefault(s, len(first)) for s in active)
     sizes = _cumulant_support(laws, len(active))
     if not sizes:
         return Fraction(0)
@@ -268,12 +354,12 @@ def joint_moment(
         rows[size] = ([(i, w) for i, w in row.items() if w], den)
     # integer sums keyed by their denominator, which only the block sizes set
     sums: dict[int, int] = {}
-    for blocks in _respectful_blocks(active_degrees, kind == "free", sizes, cap):
+    for blocks, mult in _respectful_orbits(pattern, active_degrees, kind == "free", sizes, cap):
         den = factor_den
         for b in blocks:
             den *= rows[len(b)][1]
         part = _block_sum(tables, active_degrees, blocks, [rows[len(b)][0] for b in blocks])
-        sums[den] = sums.get(den, 0) + part
+        sums[den] = sums.get(den, 0) + mult * part
     return scalar * sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
 
 
@@ -370,6 +456,27 @@ def moment_oracle(spec: SumSpec, m: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=256)
+def _wick_classes(
+    orders: tuple[int, ...], m: int, noncrossing: bool, cap: int
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """The classes of base arguments that the (non-crossing) respectful
+    pairings of m copies of a lift with ``orders`` force equal, each with
+    the number of pairings forcing it.  Base argument t of copy c is
+    c * len(orders) + t + 1."""
+    # slots are laid out copy by copy, base argument by base argument, so the
+    # slot group of a slot is the position of its base argument
+    star = _factor_layout(orders * m)
+    arg_of = star.block_of
+    filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=frozenset({2}), respects=star)
+    counts: Counter = Counter()
+    # the pairings are walked, not cached: only their class counts are kept
+    for pairing in _walk(star.n, filt, cap):
+        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
+        counts[tuple(map(tuple, _union_classes(m * len(orders), links)))] += 1
+    return tuple(counts.items())
+
+
 def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP) -> Fraction:
     """m-th moment of the Gaussian (mode='classical') or semicircular
     (mode='free') functional attached to the lifted kernel.
@@ -397,25 +504,11 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     if D > cap:
         raise FeasibilityError(f"lifted degree {D} exceeds the partition cap {cap}")
 
-    # slots are laid out copy by copy, base argument by base argument, so the
-    # slot group of a slot is the position of its base argument
-    star = _factor_layout(lk.orders * m)
-    arg_of = star.block_of
-    filt = PartitionFilter(
-        noncrossing=(mode == "free"),
-        allowed_block_sizes=frozenset({2}),
-        respects=star,
-    )
     table, den = _integer_scaled(f.values)
     units = [(i, 1) for i in range(1, f.n + 1)]
-    # many pairings force the same classes of base arguments: sum each once
-    counts: Counter = Counter()
-    for pairing in _walk(D, filt, cap):
-        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
-        counts[tuple(map(tuple, _union_classes(m * f.d, links)))] += 1
     total = sum(
         c * _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
-        for classes, c in counts.items()
+        for classes, c in _wick_classes(lk.orders, m, mode == "free", cap)
     )
     return Fraction(total, den**m)
 

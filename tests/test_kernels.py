@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from homsum.kernels import (
     Kernel,
     KernelError,
+    _distinct_permutations,
     avoid_first_kernel,
     build_kernel,
     contraction,
@@ -98,6 +99,16 @@ def test_symmetrize_replicates_single_entry():
     # with both orbit members provided the standard average applies
     k2 = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(0))], symmetrize=True)
     assert k2((1, 2)) == F(1, 4) and k2((2, 1)) == F(1, 4)
+
+
+def test_distinct_permutations_of_a_multiset():
+    for key in [(1,), (2, 2, 2), (1, 1, 2), (2, 1, 1), (3, 1, 2, 1), (1, 2, 2, 3, 3), (4, 3, 2, 1), (2, 1, 2, 1, 2)]:
+        got = list(_distinct_permutations(key))
+        assert got == sorted(set(itertools.permutations(key)))
+    # one entry symmetrized over a degree-10 orbit writes its 10 distinct keys
+    k = build_kernel(2, 10, [((1,) * 9 + (2,), 1)], symmetrize=True)
+    assert set(k.values) == {tuple(2 if t == p else 1 for t in range(10)) for p in range(10)}
+    assert k.is_symmetric
 
 
 @given(st.randoms(use_true_random=False))

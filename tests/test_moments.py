@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,9 @@ from homsum.kernels import (
 )
 from homsum.laws import (
     LawError,
+    LawSpec,
     centered_poisson,
+    convert,
     free_poisson_centered,
     free_rademacher,
     gaussian,
@@ -29,6 +32,9 @@ from homsum.moments import (
     SumSpec,
     _block_sum,
     _fourth_class_sums,
+    _free_word_expectation,
+    _respectful_blocks,
+    _respectful_orbits,
     _standard_fourth,
     fmt_report,
     fourth_moment_formula,
@@ -41,7 +47,7 @@ from homsum.moments import (
     stein_wasserstein_bound,
     wick_moment,
 )
-from homsum.partitions import respectful_pairings
+from homsum.partitions import PartitionFilter, _factor_layout, count_partitions, respectful_pairings
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -216,6 +222,120 @@ def test_block_sum_matches_plain_enumeration():
                 p += d
             expected += term
         assert _block_sum(tables, degrees, blocks, choices) == expected
+
+
+def joint_oracle(kernels, word, law):
+    """E[Q_{w_1} ... Q_{w_m}] expanded over support tuples, each word's
+    expectation taken as moment_oracle takes it."""
+    laws = (law,) if isinstance(law, LawSpec) else tuple(law)
+    law_at = (lambda i: laws[0]) if len(laws) == 1 else (lambda i: laws[i - 1])
+    centered = all(l.cumulant(1) == 0 for l in laws)
+    cache: dict = {}
+    total = F(0)
+    for combo in itertools.product(*(kernels[s].values.items() for s in word)):
+        coeff = math.prod((v for _, v in combo), start=F(1))
+        idx = tuple(i for key, _ in combo for i in key)
+        if laws[0].kind == "classical":
+            e = math.prod((law_at(i).moment(c) for i, c in Counter(idx).items()), start=F(1))
+        else:
+            e = _free_word_expectation(idx, law_at, centered, cache)
+        total += coeff * e
+    return total
+
+
+def orbits_by_canonical_forms(pattern, degrees, noncrossing, sizes):
+    """Orbits of the respectful partitions under every copy permutation that
+    keeps the word (every rotation that keeps it, for non-crossing ones), each
+    partition keyed by the least image over the whole group: (first member,
+    size) pairs in enumeration order."""
+    m = len(pattern)
+    starts = list(itertools.accumulate(degrees, initial=1))
+    perms = [tuple((j + r) % m for j in range(m)) for r in range(m)] if noncrossing \
+        else itertools.permutations(range(m))
+    group = [s for s in perms if all(pattern[s[j]] == pattern[j] for j in range(m))]
+
+    def image(blocks, s):
+        moved = {starts[j] + t: starts[s[j]] + t for j in range(m) for t in range(degrees[j])}
+        return tuple(sorted(tuple(sorted(moved[p] for p in b)) for b in blocks))
+
+    orbits: dict = {}
+    for blocks in _respectful_blocks(degrees, noncrossing, frozenset(sizes), 14):
+        orbits.setdefault(min(image(blocks, s) for s in group), []).append(blocks)
+    return [(members[0], len(members)) for members in orbits.values()]
+
+
+@pytest.mark.parametrize("degrees, noncrossing, sizes, orbits", [
+    ((2,) * 4, False, {2}, 7),
+    ((2,) * 6, False, {2}, 24),
+    ((3,) * 4, False, {2}, 174),
+    ((2,) * 6, False, range(2, 7), 529),
+    ((2,) * 6, True, range(2, 7), 16),
+])
+def test_orbit_multiplicities_count_the_respectful_partitions(degrees, noncrossing, sizes, orbits):
+    sizes = frozenset(sizes)
+    got = _respectful_orbits((0,) * len(degrees), degrees, noncrossing, sizes, 14)
+    assert len(got) == orbits
+    filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=sizes, respects=_factor_layout(degrees))
+    assert sum(mult for _, mult in got) == count_partitions(sum(degrees), filt, cap=14)
+
+
+@pytest.mark.parametrize("pattern, degrees, sizes", [
+    ((0, 0, 0, 0), (2, 2, 2, 2), {2, 3, 4}),
+    ((0, 1, 0, 1), (2, 2, 2, 2), {2, 3, 4}),
+    ((0, 0, 1), (2, 2, 2), {2, 3}),
+    ((0, 1, 1, 0, 1), (1, 2, 2, 1, 2), {2, 3}),
+    ((0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 1), {2, 3, 4, 5, 6}),
+    ((0, 1, 0, 1, 0, 1), (2, 1, 2, 1, 2, 1), {2, 3}),
+])
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_orbits_equal_the_classes_of_least_images(pattern, degrees, noncrossing, sizes):
+    got = _respectful_orbits(pattern, degrees, noncrossing, frozenset(sizes), 14)
+    assert list(got) == orbits_by_canonical_forms(pattern, degrees, noncrossing, sizes)
+
+
+def test_a_free_word_without_a_period_has_only_trivial_orbits():
+    for pattern, degrees in (((0, 0, 0, 1), (1, 1, 1, 1)), ((0, 1, 0, 0, 1), (2, 2, 2, 2, 2)), ((0, 0, 1, 1, 1), (1,) * 5)):
+        sizes = frozenset(range(2, sum(degrees) + 1))
+        got = _respectful_orbits(pattern, degrees, True, sizes, 14)
+        assert got == tuple((blocks, 1) for blocks in _respectful_blocks(degrees, True, sizes, 14))
+        assert len(got) > 1
+
+
+def test_joint_moment_matches_the_oracle_on_mixed_words():
+    rnd = random.Random(16)
+    n = 3
+
+    def random_kernel(d):
+        return build_kernel(n, d, [(idx, F(rnd.randint(-3, 3), rnd.randint(1, 3)))
+                                   for idx in itertools.permutations(range(1, n + 1), d)])
+
+    f, g, h = random_kernel(2), random_kernel(2), random_kernel(1)
+    laws = {
+        "classical": (centered_poisson(F(1, 2), 12), [gaussian(2, 12), centered_poisson(1, 12), rademacher(12)]),
+        "free": (free_poisson_centered(F(2, 3), 12), [semicircle(1, 12), free_poisson_centered(2, 12), tetilla(12)]),
+    }
+    words = [(0, 1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 1, 0), (0, 2, 0, 2), (2, 0, 0, 2)]
+    for kind, (iid, per_index) in laws.items():
+        for law in (iid, per_index):
+            for word in words:
+                got = joint_moment([f, g, h], word, law)
+                assert got == joint_oracle([f, g, h], word, law), (kind, word)
+
+
+def test_sixth_moment_of_a_gaussian_quadratic_form_by_its_cumulants():
+    # Q = x^T A x with A = J - I and x standard Gaussian has cumulants
+    # kappa_r = 2^(r-1) (r-1)! tr(A^r) (Mathai & Provost 1992, ch. 3)
+    n = 5
+    A = [[int(i != j) for j in range(n)] for i in range(n)]
+    power, cums = A, [F(0)]
+    for r in range(1, 7):
+        cums.append(F(2 ** (r - 1) * math.factorial(r - 1) * sum(power[i][i] for i in range(n))))
+        power = [[sum(power[i][k] * A[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    moms = convert(cums, "cumulants_to_moments", "classical")
+    assert (moms[4], moms[6]) == (17280, 26496000)
+    spec = SumSpec(offdiag_kernel(n), gaussian(1, 12))
+    assert moment_exact(spec, 4) == moms[4]
+    assert moment_exact(spec, 6) == moms[6]
 
 
 def test_wick_moment_single_index_lift():
