@@ -23,7 +23,7 @@ from .partitions import (
     DEFAULT_SIZE_CAP,
     PartitionFilter,
     SetPartition,
-    enumerate_partitions,
+    _walk,
     moebius_to_top,
 )
 
@@ -49,6 +49,8 @@ class CliValidationError(ValueError):
 
 
 def _jsonable(x):
+    if isinstance(x, (str, int)):
+        return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, float):
@@ -182,13 +184,17 @@ def cmd_partitions(args, cap):
         allowed_block_sizes=sizes if args.pairings or args.min_block_size > 1 else None,
         respects=SetPartition.parse(args.respects) if args.respects else None,
     )
-    parts = list(enumerate_partitions(args.n, filt, cap))
-    rows = [{"partition": str(p), "blocks": len(p.blocks)} for p in parts]
-    if args.moebius:
-        mode = "noncrossing" if args.noncrossing else "classical"
-        for row, p in zip(rows, parts):
-            row["moebius_to_top"] = moebius_to_top(p, mode)
-    return {"count": len(parts), "rows": rows}
+    # each row is written from the walk's block tuples in SetPartition's text
+    # form; wrapping every partition in a SetPartition cost as much as the walk
+    digits = [str(x) for x in range(min(args.n, cap) + 1)]
+    mode = "noncrossing" if args.noncrossing else "classical"
+    rows = []
+    for blocks in _walk(args.n, filt, cap):
+        row = {"partition": "|".join([",".join([digits[x] for x in b]) for b in blocks]), "blocks": len(blocks)}
+        if args.moebius:
+            row["moebius_to_top"] = moebius_to_top(SetPartition(args.n, blocks), mode)
+        rows.append(row)
+    return {"count": len(rows), "rows": rows}
 
 
 def cmd_kernel_validate(args, cap):

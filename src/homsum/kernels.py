@@ -4,6 +4,13 @@ Kernels are stored as immutable maps from 1-based index tuples to scalars;
 absent tuples are zero.  Exact mode keeps every value a Fraction so that
 contraction identities and norms can be asserted with ==; float mode is for
 simulation-facing code.  Norms are reported squared in exact mode.
+
+Exact contractions, norms and influences sum in integers: each kernel is
+scaled once to integer numerators over the least common denominator of its
+values (:func:`_integer_scaled`, the scaling the lattice moment engine also
+uses), the products and sums run on those integers, and each result is
+divided back out once, as one Fraction.  Float kernels run the same loops on
+their own values, in the same order, with nothing to divide out.
 """
 
 from __future__ import annotations
@@ -71,10 +78,15 @@ class Kernel:
         return all(len(set(idx)) == len(idx) for idx in self.values)
 
     def norm_sq(self) -> Scalar:
-        return sum((v * v for v in self.values.values()), self._zero)
+        if self.mode == "float":
+            return sum((v * v for v in self.values.values()), 0.0)
+        table, den = _integer_scaled(self.values)
+        return Fraction(sum(v * v for v in table.values()), den * den)
 
     def scaled(self, c: Scalar) -> "Kernel":
         c = _as_scalar(c, self.mode)
+        if not c:
+            return Kernel(self.n, self.d, {}, self.mode)
         return Kernel(self.n, self.d, {k: v * c for k, v in self.values.items()}, self.mode)
 
     def __sub__(self, other: "Kernel") -> "Kernel":
@@ -93,6 +105,19 @@ class Kernel:
         if self.mode == "float":
             return self
         return Kernel(self.n, self.d, {k: float(v) for k, v in self.values.items()}, "float")
+
+
+def _integer_scaled(values: Mapping) -> tuple[dict, int]:
+    """The values of a map over their least common denominator:
+    (the integer numerators, that denominator)."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+
+
+def _numerators(f: Kernel) -> tuple[Mapping, int]:
+    """The values the exact layer sums: an exact kernel's integer numerators
+    over their common denominator, a float kernel's own values over 1."""
+    return _integer_scaled(f.values) if f.mode == "exact" else (f.values, 1)
 
 
 def _orbits(entries: Iterable[tuple[tuple[int, ...], Scalar]]) -> dict[tuple[int, ...], list[Scalar]]:
@@ -203,11 +228,11 @@ def validate(f: Kernel, flavor: str) -> dict:
     }
 
 
-def _entries_by_head(g: Kernel, h: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], Scalar]]]:
-    """g's entries grouped by their h leading indices: head -> [(rest, value)],
-    each list in g's own order."""
+def _entries_by_head(values: Mapping, h: int) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], Scalar]]]:
+    """Entries grouped by their h leading indices: head -> [(rest, value)],
+    each list in the map's own order."""
     out: dict[tuple[int, ...], list] = {}
-    for gi, gv in g.values.items():
+    for gi, gv in values.items():
         out.setdefault(gi[:h], []).append((gi[h:], gv))
     return out
 
@@ -215,16 +240,24 @@ def _entries_by_head(g: Kernel, h: int) -> dict[tuple[int, ...], list[tuple[tupl
 def _contract(f: Kernel, g: Kernel, q: int, keep: int) -> Kernel:
     """Sums f's last q indices against g's first q, which match them in
     reverse order; with keep = 1 the first of f's summed indices stays free
-    as well, between the two argument groups."""
-    by_head = _entries_by_head(g, q)
-    acc: dict[tuple[int, ...], Scalar] = {}
-    zero = f._zero
-    for fi, fv in f.values.items():
+    as well, between the two argument groups.
+
+    Exact kernels add integer products over D_f * D_g (:func:`_numerators`)
+    and divide each nonzero sum out once."""
+    fvals, fden = _numerators(f)
+    gvals, gden = _numerators(g)
+    by_head = _entries_by_head(gvals, q)
+    acc: dict[tuple[int, ...], int | float] = {}
+    for fi, fv in fvals.items():
         t = fi[: f.d - q + keep]
         for tail, gv in by_head.get(fi[f.d - q:][::-1], ()):
             key = t + tail
-            acc[key] = acc.get(key, zero) + fv * gv
-    acc = {k: v for k, v in acc.items() if v}
+            acc[key] = acc.get(key, 0) + fv * gv
+    if f.mode == "exact":
+        den = fden * gden
+        acc = {k: Fraction(v, den) for k, v in acc.items() if v}
+    else:
+        acc = {k: v for k, v in acc.items() if v}
     return Kernel(f.n, f.d + g.d - 2 * q + keep, acc, f.mode)
 
 
@@ -256,12 +289,13 @@ def influence(f: Kernel) -> list[Scalar]:
     kernels); for fully symmetric f each value equals d * sum_j f(i, j, ...)^2.
     See :func:`influence_first_slot` for the other normalization in use.
     """
-    out = [f._zero] * f.n
-    for idx, v in f.values.items():
+    vals, den = _numerators(f)
+    out = [0] * f.n
+    for idx, v in vals.items():
         sq = v * v
         for i in idx:
             out[i - 1] += sq
-    return out
+    return _squares_out(f, out, den)
 
 
 def influence_first_slot(f: Kernel) -> list[Scalar]:
@@ -271,10 +305,20 @@ def influence_first_slot(f: Kernel) -> list[Scalar]:
     This is the normalization under which admissible (unit-variance) kernels
     have total influence 1; reports always state which profile they carry.
     """
-    out = [f._zero] * f.n
-    for idx, v in f.values.items():
+    vals, den = _numerators(f)
+    out = [0] * f.n
+    for idx, v in vals.items():
         out[idx[0] - 1] += v * v
-    return out
+    return _squares_out(f, out, den)
+
+
+def _squares_out(f: Kernel, sums: list, den: int) -> list[Scalar]:
+    """Sums of squared numerators divided out by den^2 (exact mode); float
+    sums as floats, an untouched 0 included."""
+    if f.mode == "exact":
+        den *= den
+        return [Fraction(s, den) for s in sums]
+    return [float(s) for s in sums]
 
 
 def tau_max(f: Kernel) -> Scalar:

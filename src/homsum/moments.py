@@ -18,12 +18,13 @@ uses it.
 
 The primitive works on integers.  Once per call, each caller scales every
 kernel and every cumulant row to integers over its own common denominator
-(:func:`_integer_scaled`).  A partition's integer sum is over the product
-of its factors' and blocks' denominators; the caller adds up the sums that
-share a denominator and divides each total back out with one Fraction.  The
-primitive assigns blocks depth first and multiplies in each entry as soon as
-its factor's last block is set, so a zero entry or weight cuts off the whole
-subtree below it.
+(:func:`kernels._integer_scaled`, which the kernel layer's contractions,
+norms and influences use too).  A partition's integer sum is over the
+product of its factors' and blocks' denominators; the caller adds up the
+sums that share a denominator and divides each total back out with one
+Fraction.  The primitive assigns blocks depth first and multiplies in each
+entry as soon as its factor's last block is set, so a zero entry or weight
+cuts off the whole subtree below it.
 
 A permutation of the copies of one kernel leaves a partition's block sum
 unchanged, so :func:`joint_moment` takes one block sum per orbit of
@@ -46,7 +47,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
-from .kernels import LiftedKernel, _on_orbits, _orbit_size, _orbits
+from .kernels import LiftedKernel, _integer_scaled, _on_orbits, _orbit_size, _orbits
 from .laws import LawSpec, gaussian, semicircle
 from .partitions import (
     DEFAULT_SIZE_CAP,
@@ -213,13 +214,6 @@ def _cumulant_support(laws: Sequence[LawSpec], largest: int) -> frozenset[int]:
             if l.cumulant(s) != 0:
                 sizes.add(s)
     return frozenset(sizes)
-
-
-def _integer_scaled(values: Mapping) -> tuple[dict, int]:
-    """The values of a map over their least common denominator:
-    (the integer numerators, that denominator)."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
 
 def _block_sum(

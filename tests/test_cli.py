@@ -343,6 +343,22 @@ def test_partitions_stdout_golden(argv, digest, size, capsys, monkeypatch):
     assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
+def test_partition_rows_are_the_text_form_past_nine(tmp_path, monkeypatch):
+    from homsum.partitions import PartitionFilter, enumerate_partitions, moebius_to_top
+
+    monkeypatch.delenv("HOMSUM_CAP", raising=False)
+    for noncrossing in (False, True):
+        argv = ["partitions", "--n", "10", "--pairings", "--moebius"] + (["--noncrossing"] if noncrossing else [])
+        code, payload = run_json(argv, tmp_path)
+        filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes={2})
+        want = [
+            {"partition": str(p), "blocks": 5,
+             "moebius_to_top": "%d/1" % moebius_to_top(p, "noncrossing" if noncrossing else "classical")}
+            for p in enumerate_partitions(10, filt)
+        ]
+        assert code == 0 and payload["result"]["rows"] == want and payload["result"]["count"] == len(want)
+
+
 # sha256 and byte length of the stdout of the CLI shapes the benchmark runs,
 # recorded before numpy left the exact subcommands; run from tests/data, so the
 # echoed kernel path is the bare file name.  quadrature and discriminant

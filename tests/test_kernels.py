@@ -14,6 +14,7 @@ from homsum.kernels import (
     build_kernel,
     contraction,
     influence,
+    influence_first_slot,
     kernel_from_json,
     kernel_to_json,
     lift,
@@ -241,8 +242,6 @@ def test_influence_profiles():
 @settings(max_examples=30, deadline=None)
 def test_influence_sum_identity(rnd, n, d):
     # slot-summed: sum_i Inf_i(f) = d * sum f^2; first-slot: sums to sum f^2
-    from homsum.kernels import influence_first_slot
-
     f = rational_kernel(n, d, rnd)
     assert sum(influence(f)) == d * f.norm_sq()
     assert sum(influence_first_slot(f)) == f.norm_sq()
@@ -346,3 +345,117 @@ def test_scale_to_unit_variance():
     assert abs(u.norm_sq() - 1) < 1e-12
     with pytest.raises(KernelError):
         scale_to_unit_variance(build_kernel(2, 2, []), "free")
+
+
+# Fraction referees: the plain double loop and plain sums, every product and
+# sum a Fraction, for checking the integer-scaled exact layer by ==
+def _referee_norm_sq(values):
+    return sum((F(v) * F(v) for v in values.values()), F(0))
+
+
+def _referee_influence(f, first_slot=False):
+    out = [F(0)] * f.n
+    for idx, v in f.values.items():
+        for i in idx[:1] if first_slot else idx:
+            out[i - 1] += F(v) * F(v)
+    return out
+
+
+def _fraction_referee(f):
+    return Kernel(f.n, f.d, {k: F(v) for k, v in f.values.items()})
+
+
+def _exact_cases():
+    import random
+
+    rnd = random.Random(11)
+    coprime = (F(1, 7), F(1, 11), F(1, 13), F(-2, 7), F(3, 11), F(-5, 13))
+    cases = []
+    for n, d in [(3, 0), (3, 1), (3, 2), (4, 2), (3, 3), (4, 3)]:
+        entries = {}
+        for idx in itertools.product(range(1, n + 1), repeat=d):
+            if rnd.random() < 0.7:
+                entries[idx] = rnd.choice(coprime)
+        cases.append(build_kernel(n, d, list(entries.items())))
+    # f(1, j) = 1/7 and f(2, j) = -1/7 cancel in f *_1 g against g(j, k) = 1/11,
+    # so those sums must come out absent, not stored as 0
+    cancel = build_kernel(3, 2, [((1, 1), F(1, 7)), ((1, 2), F(-1, 7)), ((2, 1), F(1, 13)), ((2, 2), F(-1, 13))])
+    flat = build_kernel(3, 2, [((j, k), F(1, 11)) for j in (1, 2) for k in (1, 2, 3)])
+    cases += [cancel, flat, build_kernel(3, 2, []), build_kernel(3, 0, [])]
+    # built directly, with plain int values
+    cases += [Kernel(3, 2, {(1, 2): 2, (2, 1): -3, (3, 3): 1}), Kernel(3, 1, {(1,): 1, (3,): -2})]
+    return cases, cancel, flat
+
+
+def test_exact_layer_equals_the_fraction_referee():
+    cases, cancel, flat = _exact_cases()
+    for f in cases:
+        ref = _fraction_referee(f)
+        got = f.norm_sq()
+        assert type(got) is F and got == _referee_norm_sq(f.values)
+        for first_slot, fn in ((False, influence), (True, influence_first_slot)):
+            if first_slot and f.d == 0:
+                continue
+            got = fn(f)
+            assert all(type(x) is F for x in got) and got == _referee_influence(f, first_slot)
+        for g in cases:
+            if g.n != f.n:
+                continue
+            for q in range(min(f.d, g.d) + 1):
+                got = contraction(f, g, q)
+                want = _naive_contraction(ref, _fraction_referee(g), q)
+                assert got.d == f.d + g.d - 2 * q
+                assert list(got.values.items()) == list(want.items())
+                assert all(type(v) is F and v for v in got.values.values())
+                assert got.norm_sq() == _referee_norm_sq(want)
+            for r in range(1, min(f.d, g.d) + 1):
+                got = star_contraction(f, g, r)
+                want = _naive_star_contraction(ref, _fraction_referee(g), r)
+                assert list(got.values.items()) == list(want.items())
+                assert all(type(v) is F and v for v in got.values.values())
+    # the cancelling rows leave nothing at (1, k) and (2, k)
+    out = contraction(cancel, flat, 1)
+    assert out.values == {} and out.norm_sq() == 0
+    # 1/7 * 1/11 sums over 7 * 11 = 77, not over 11 alone
+    assert contraction(build_kernel(2, 1, [((1,), F(1, 7))]), build_kernel(2, 1, [((1,), F(1, 11))]), 1)(()) == F(1, 77)
+    # the empty kernel contracts to the empty kernel of the right degree
+    empty = build_kernel(3, 2, [])
+    assert contraction(empty, flat, 1).values == {} and contraction(empty, flat, 0).d == 4
+    assert influence(empty) == [0, 0, 0] and all(type(x) is F for x in influence(empty))
+
+
+def test_float_norms_and_influences_match_the_plain_loops_bitwise():
+    import random
+
+    rnd = random.Random(3)
+    for n, d in [(4, 0), (5, 1), (6, 2), (4, 3)]:
+        vals = {idx: rnd.uniform(-1, 1) for idx in itertools.product(range(1, n + 1), repeat=d)
+                if rnd.random() < 0.6}
+        f = Kernel(n, d, vals, "float")
+        assert f.norm_sq() == sum((v * v for v in vals.values()), 0.0)
+        slots, first = [0.0] * n, [0.0] * n
+        for idx, v in vals.items():
+            sq = v * v
+            for i in idx:
+                slots[i - 1] += sq
+            if d:
+                first[idx[0] - 1] += v * v
+        got = influence(f)
+        assert all(type(x) is float for x in got) and got == slots
+        if d:
+            got = influence_first_slot(f)
+            assert all(type(x) is float for x in got) and got == first
+    # float sums that cancel exactly are absent too
+    _, cancel, flat = _exact_cases()
+    assert contraction(cancel.to_float(), flat.to_float(), 1).values == {}
+
+
+def test_scaling_by_zero_gives_the_empty_kernel():
+    f = build_kernel(3, 2, [((1, 1), 1), ((1, 2), 2)])
+    assert f.vanishes_on_diagonals is False
+    z = f.scaled(0)
+    assert z.values == {} and z.vanishes_on_diagonals is True
+    assert z == build_kernel(3, 2, [])
+    assert '"entries": []' in kernel_to_json(z)
+    assert f.to_float().scaled(0.0).values == {}
+    assert f.scaled(F(1, 2))((1, 2)) == 1
