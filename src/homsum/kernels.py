@@ -304,11 +304,14 @@ def influence_first_slot(f: Kernel) -> list[Scalar]:
 
     This is the normalization under which admissible (unit-variance) kernels
     have total influence 1; reports always state which profile they carry.
+    A degree-0 kernel has no first slot, so its profile is zero, as under
+    :func:`influence`.
     """
     vals, den = _numerators(f)
     out = [0] * f.n
     for idx, v in vals.items():
-        out[idx[0] - 1] += v * v
+        if idx:
+            out[idx[0] - 1] += v * v
     return _squares_out(f, out, den)
 
 

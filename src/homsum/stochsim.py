@@ -14,7 +14,20 @@ kappa-statistic cell sampler is ``cells(measure, rng, count) -> ndarray``,
 the ``count`` cell values of one path in cell order, and ``sample_homsum``
 multiplies whole columns of draws.  Each draws the same numbers, in the same
 order, as one scalar call per cell or entry would, so every seeded output is
-unchanged.
+unchanged.  Two of these batches lean on how numpy draws, and the bitwise
+referees in ``tests/test_stochsim.py`` fail if a numpy release changes it:
+
+* compound-Poisson cells read a run of empty cells in one ``random`` call
+  and then rewind the counter-based stream (Philox, Salmon et al. 2011):
+  below a mean of 10, ``poisson`` uses the multiplication method, so a
+  cell's count is 0 exactly when its first double is <= exp(-mean), and
+  such a cell uses that one double;
+* ``Sampler.draw_from`` searches a cached cdf with ``random`` doubles for
+  the discrete law and takes ``integers(0, 2)`` signs for Rademacher, as
+  ``Generator.choice`` does.
+
+The Lévy variations sum each path's jump powers per group of paths with
+one jump count, a row sum that equals the path's own 1-D sum bit for bit.
 """
 
 from __future__ import annotations
@@ -23,21 +36,23 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, influence
 from .laws import LawSpec, builtin_law
-from .moments import FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
 from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
+
+if TYPE_CHECKING:
+    from .kernels import Kernel
 
 _SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered", "discrete")
 # invariance_decay_experiment computes a moment gap exactly up to this many positions
 EXACT_CAP_POSITIONS = 12
 # variations_cumulant_check splits its paths into this many groups for the standard error
 CUMULANT_GROUPS = 50
+# the Rademacher values, indexed by integers(0, 2) as Generator.choice indexes them
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _stream(seed: int, task: int = 0, rng: np.random.Generator | None = None) -> np.random.Generator:
@@ -93,22 +108,33 @@ class Sampler:
             sigma = math.sqrt(float(self.params.get("sigma2", 1.0)))
             return sigma * rng.standard_normal(shape)
         if self.law == "rademacher":
-            return rng.choice([-1.0, 1.0], size=shape)
+            return _SIGNS[rng.integers(0, 2, size=shape)]
         if self.law == "centered_poisson":
             lam = float(self.params.get("lam", 1.0))
             return rng.poisson(lam, size=shape).astype(float) - lam
         if self.law == "uniform_centered":
             r = math.sqrt(3.0)
             return rng.uniform(-r, r, size=shape)
-        values, probs = self._discrete
-        return rng.choice(values, size=shape, p=probs)
+        values, cdf = self._discrete
+        return values[cdf.searchsorted(rng.random(shape), side="right")]
 
     @cached_property
     def _discrete(self) -> tuple[np.ndarray, np.ndarray]:
-        """The discrete law's values and probabilities as floats, parsed once."""
+        """The discrete law's values and the cdf of its probabilities as
+        floats, built once the way ``Generator.choice(values, p=probs)``
+        builds them, after the checks that ``choice`` makes, with its
+        messages."""
         values = np.asarray([float(Fraction(str(v))) for v in self.params["values"]])
         probs = np.asarray([float(Fraction(str(p))) for p in self.params["probs"]])
-        return values, probs
+        if len(probs) != len(values):
+            raise ValueError("a and p must have same size")
+        if np.any(probs < 0):  # parsing as a Fraction has refused inf and nan
+            raise ValueError("Probabilities are not non-negative")
+        if abs(math.fsum(probs) - 1.0) > math.sqrt(np.finfo(float).eps):
+            raise ValueError("Probabilities do not sum to 1")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return values, cdf
 
     def law_spec(self, max_order: int = 10) -> LawSpec:
         """Exact moment sequence matching the sampled law."""
@@ -171,6 +197,8 @@ def _normal_quantiles(size: int) -> np.ndarray:
     """The grid Phi^{-1}((i + 1/2)/size), i < size, read-only because every
     caller with this size shares it.  Filled with no intermediate list of
     Python floats: with one, peak memory rose by about twice the grid's size."""
+    from statistics import NormalDist
+
     nd = NormalDist()
     q = np.fromiter((nd.inv_cdf((i + 0.5) / size) for i in range(size)), dtype=float, count=size)
     q.flags.writeable = False
@@ -217,6 +245,9 @@ def invariance_decay_experiment(
     the exact kernel and rescaled by c^m) whenever the lattice engine is
     feasible; otherwise the seeded Monte Carlo estimate substitutes.
     """
+    from .kernels import influence
+    from .moments import FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
+
     law_a = sampler_a.law_spec()
     law_b = sampler_b.law_spec()
     rows = []
@@ -330,24 +361,19 @@ def compound_poisson_path(
     return JumpPath(horizon, tuple(times.tolist()), tuple(jumps.tolist()), sigma2, lam, level)
 
 
-def _variation(jumps: np.ndarray, order: int, level: float, quadratic: float) -> float:
-    """Order-n variation from a path's jump sizes, its Gaussian level and its
-    Gaussian quadratic variation sigma^2 t."""
-    power = float(np.sum(jumps**order)) if len(jumps) else 0.0
-    if order == 1:
-        return level + power
-    if order == 2:
-        return quadratic + power
-    return power
-
-
 def variation(path: JumpPath, order: int) -> float:
     """Order-n variation at the horizon: order 1 is the level (Gaussian part
     plus jump sum), order 2 carries the sigma^2 t term plus squared jumps,
     higher orders are pure jump power sums."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _variation(np.asarray(path.jumps), order, path.gaussian_level, path.sigma2 * path.horizon)
+    jumps = np.asarray(path.jumps)
+    power = float(np.sum(jumps**order)) if len(jumps) else 0.0
+    if order == 1:
+        return path.gaussian_level + power
+    if order == 2:
+        return path.sigma2 * path.horizon + power
+    return power
 
 
 def kstat_experiment(
@@ -403,17 +429,45 @@ def gaussian_cell_sampler(measure: float, rng: np.random.Generator, count: int) 
 
 def compound_poisson_cell_sampler(lam: float, jump_draw: Callable[[np.random.Generator, int], np.ndarray]):
     """Compound-Poisson cells: each cell draws its Poisson(lam nu(A)) count,
-    then ``jump_draw(rng, count)`` its jumps, from the path's stream.  The
-    cells stay a scalar loop: a cell's jumps sit between its count and the
-    next cell's count in the stream, so batching the counts would change the
-    draws."""
+    then ``jump_draw(rng, count)`` its jumps, from the path's stream.
+
+    A cell's jumps sit between its count and the next cell's count in the
+    stream, so the counts cannot be drawn as one array.  For 0 < mean < 10
+    numpy's ``poisson`` uses the multiplication method, and a cell is empty
+    exactly when its first double is <= exp(-mean), which is all that cell
+    draws.  So the cells read ahead a window of doubles in one call; if one
+    is above exp(-mean), they rewind the stream, skip the empty cells before
+    it, and draw that cell's count and jumps as a scalar cell would.  The
+    window is about four expected gaps between nonempty cells, so a dense
+    path does not read ahead the whole path for each cell.  A mean of 0
+    (no draws) or >= 10 (numpy's rejection method) keeps the scalar loop.
+    """
 
     def cells(measure: float, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.zeros(count)
-        for i in range(count):
-            k = int(rng.poisson(lam * measure))
-            if k:
-                out[i] = np.sum(jump_draw(rng, k))
+        mean = lam * measure
+        if not 0 < mean < 10:
+            for i in range(count):
+                k = int(rng.poisson(mean))
+                if k:
+                    out[i] = np.sum(jump_draw(rng, k))
+            return out
+        empty = math.exp(-mean)
+        window = 1 + int(min(count, 4 / -math.expm1(-mean)))
+        bits = rng.bit_generator
+        i = 0
+        while i < count:
+            state = bits.state
+            ahead = rng.random(min(count - i, window)) > empty
+            j = int(ahead.argmax())
+            if not ahead[j]:  # every cell read is empty, and the stream is past them
+                i += window
+                continue
+            bits.state = state
+            rng.random(j)
+            i += j
+            out[i] = np.sum(jump_draw(rng, int(rng.poisson(mean))))
+            i += 1
         return out
 
     return cells
@@ -454,10 +508,29 @@ def variations_cumulant_check(
         raise ValueError(f"{paths} paths form fewer than 2 groups, so no standard error; need paths >= 4")
     # the variations read only the jumps and the level, so the times are
     # drawn (the level follows them in the stream) but never sorted
-    quadratic = sigma2 * horizon
-    V = np.empty((paths, k))
+    counts = np.empty(paths, dtype=np.intp)
+    levels = np.empty(paths)
+    drawn = []
     for p, (_, jumps, level) in enumerate(_levy_draws(lam, jump_sampler, sigma2, horizon, seed, range(paths))):
-        V[p] = [_variation(jumps, c, level, quadratic) for c in orders]
+        counts[p] = len(jumps)
+        levels[p] = level
+        drawn.append(jumps)
+    # the paths with m jumps as an (rows x m) array; a row sum adds in the
+    # same order as the 1-D sum over that path's jumps (np.add.reduceat
+    # over one flat array does not)
+    flat = np.concatenate(drawn)
+    starts = np.cumsum(counts) - counts
+    V = np.zeros((paths, k))
+    for m in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == m)
+        block = flat[starts[rows, None] + np.arange(m)]
+        for j, c in enumerate(orders):
+            V[rows, j] = np.sum(block**c, axis=1)
+    for j, c in enumerate(orders):
+        if c == 1:
+            V[:, j] += levels
+        elif c == 2:
+            V[:, j] += sigma2 * horizon
 
     # (Moebius value, column lists of the blocks) per partition of the k orders
     terms = [

@@ -445,11 +445,18 @@ def test_import_and_moment_leave_numpy_unloaded():
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
+# kstat and simulate-levy run neither the kernel layer nor the moment engine
+MONTE_CARLO_LAYERS = {"homsum", "homsum.cli", "homsum.laws", "homsum.partitions", "homsum.stochsim"}
+
+
 @pytest.mark.parametrize("argv, loaded, not_loaded", [
     (["partitions", "--n", "5"], {"homsum", "homsum.cli", "homsum.partitions"}, set()),
     (["contract", "--kernel", "k5.json", "--order", "1"], None,
      {"homsum.laws", "homsum.moments", "homsum.orthopoly"}),
     (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"], None, {"homsum.orthopoly"}),
+    (["kstat", "--refinement", "10", "--paths", "20"], MONTE_CARLO_LAYERS, set()),
+    (["kstat", "--measure", "compound_poisson", "--refinement", "10", "--paths", "20"], MONTE_CARLO_LAYERS, set()),
+    (["simulate-levy", "--paths", "40", "--orders", "3"], MONTE_CARLO_LAYERS, set()),
 ])
 def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     proc = run_python(
@@ -465,6 +472,14 @@ def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     if loaded is not None:
         assert set(modules) == loaded
     assert not set(modules) & not_loaded, modules
+
+
+def test_fmt_check_on_a_degree_0_kernel(tmp_path):
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps({"n": 2, "d": 0, "entries": [{"idx": [], "val": "1/2"}]}))
+    code, payload = run_json(["fmt-check", "--kernel", str(path), "--law", "gaussian"], tmp_path)
+    assert code == 0, payload
+    assert payload["result"]["influences_first_slot"] == ["0/1", "0/1"]
 
 
 def test_discriminant_reaches_n8_k2(tmp_path):

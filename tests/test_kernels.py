@@ -250,6 +250,11 @@ def test_influence_sum_identity(rnd, n, d):
         assert influence(f) == [d * x for x in influence_first_slot(f)]
 
 
+def test_degree_0_kernels_have_zero_influence_profiles():
+    for f in (build_kernel(2, 0, [((), F(1, 2))]), build_kernel(3, 0, [((), 0.5)], mode="float")):
+        assert influence_first_slot(f) == influence(f) == [f._zero] * f.n
+
+
 def test_slice():
     f = HALF
     s = slice_kernel(f, (1,))

@@ -449,18 +449,56 @@ def test_sample_homsum_matches_the_entry_loop_bitwise():
                 assert np.array_equal(got, scalar_sample_homsum(f, smp, trials, task=2)), (f, smp, trials)
 
 
+def next_draws(rng):
+    """The next few draws of a stream: doubles, and 32-bit integers, which
+    read a cached half of a 64-bit draw first."""
+    return rng.random(3).tolist(), rng.integers(0, 1000, size=3, dtype=np.int32).tolist()
+
+
+# cell means lam * nu(A): 0 draws nothing; up to just below 10 numpy's
+# poisson uses the multiplication method, whose first double decides an
+# empty cell; from 10 on it uses rejection (PTRS)
+CELL_MEANS = [0.0, 1e-320, 1e-9, 0.004, 0.02, 0.68, 3.0, 9.5, math.nextafter(10.0, 0.0), 10.0, 25.0]
+
+
 def test_cell_samplers_draw_what_scalar_cells_drew():
     for count in (0, 1, 5, 200):
         rng, ref = philox(8, 1), philox(8, 1)
         want = np.array([scalar_gaussian_cell(0.3, ref) for _ in range(count)], dtype=float)
         assert gaussian_cell_sampler(0.3, rng, count).tobytes() == want.tobytes()
+    # the gaussian jumps' ziggurat takes a variable number of draws per jump
     for smp in LAWS:
-        cells = compound_poisson_cell_sampler(1.7, smp.draw_from)
-        cell = scalar_compound_poisson_cell(1.7, smp.draw_from)
-        rng, ref = philox(9, 2), philox(9, 2)
-        want = np.array([cell(0.4, ref) for _ in range(50)])
-        assert cells(0.4, rng, 50).tobytes() == want.tobytes()
-        assert rng.random() == ref.random()  # both streams left at the same point
+        for mean in CELL_MEANS:
+            cells = compound_poisson_cell_sampler(mean, smp.draw_from)
+            cell = scalar_compound_poisson_cell(mean, smp.draw_from)
+            for count in (0, 1, 7, 300):
+                rng, ref = philox(9, count), philox(9, count)
+                want = np.array([cell(1.0, ref) for _ in range(count)], dtype=float)
+                got = cells(1.0, rng, count)
+                assert got.tobytes() == want.tobytes(), (smp.law, mean, count)
+                # both streams left at the same point
+                assert next_draws(rng) == next_draws(ref), (smp.law, mean, count)
+
+
+def test_cells_on_both_sides_of_the_poisson_method_switch():
+    # a cell at mean 10 is empty with probability e^-10, so only a long path
+    # shows whether the empty-cell rule of the multiplication method is
+    # applied on the wrong side of the switch
+    draw = LAWS[0].draw_from
+    for mean in (math.nextafter(10.0, 0.0), 10.0):
+        rng, ref = philox(5, 5), philox(5, 5)
+        cell = scalar_compound_poisson_cell(mean, draw)
+        want = np.array([cell(1.0, ref) for _ in range(40_000)])
+        assert compound_poisson_cell_sampler(mean, draw)(1.0, rng, 40_000).tobytes() == want.tobytes(), mean
+        assert next_draws(rng) == next_draws(ref), mean
+
+
+def test_a_path_of_empty_cells_reads_one_double_per_cell():
+    cells = compound_poisson_cell_sampler(1e-9, LAWS[0].draw_from)
+    rng, ref = philox(3, 4), philox(3, 4)
+    assert not cells(1.0, rng, 500).any()
+    ref.random(500)
+    assert next_draws(rng) == next_draws(ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -468,7 +506,7 @@ def test_kstat_matches_the_cell_loop_bitwise(n):
     rad = lambda rng, c: rng.choice([-1.0, 1.0], size=c)  # noqa: E731
     cases = [(gaussian_cell_sampler, scalar_gaussian_cell)]
     cases += [(compound_poisson_cell_sampler(lam, draw), scalar_compound_poisson_cell(lam, draw))
-              for lam in (0.0, 2.5) for draw in (rad, LAWS[3].draw_from)]
+              for lam in (0.0, 2.5, 12.9, 13.0) for draw in (rad, LAWS[0].draw_from, LAWS[3].draw_from)]
     for cells, cell in cases:
         for refinement, paths in ((1, 2), (1, 40), (7, 30), (100, 12)):
             rep = kstat_experiment(cells, 0.5, n, refinement, paths, 1.3, seed=11)
@@ -477,7 +515,7 @@ def test_kstat_matches_the_cell_loop_bitwise(n):
 
 def test_levy_paths_and_variations_match_the_path_loop_bitwise():
     for smp in LAWS:
-        for lam in (0.0, 0.6, 4.0):
+        for lam in (0.0, 0.6, 4.0, 15.0):  # at lam T = 18, paths of 8 to 30 jumps
             for sigma2 in (0.0, 0.5):
                 for task in range(4):
                     path = compound_poisson_path(lam, smp, sigma2, 1.2, seed=13, task=task)
@@ -500,3 +538,47 @@ def test_monte_carlo_checks_refuse_meaningless_inputs():
         variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (0, 2), paths=10, seed=30)
     with pytest.raises(ValueError):
         compound_poisson_path(2.0, rad, -0.5, 1.0, seed=1)
+
+
+def test_sampler_draws_equal_generator_choice():
+    # draw_from replaces rng.choice([-1, 1]) and rng.choice(values, p=probs);
+    # a numpy release that changes either stream fails here
+    rad = Sampler("rademacher", seed=0)
+    disc = Sampler("discrete", seed=0, params={"values": ["-2", "0", "1", "7"], "probs": ["1/6", "1/2", "1/3", "0"]})
+    values, probs = np.array([-2.0, 0.0, 1.0, 7.0]), np.array([1 / 6, 1 / 2, 1 / 3, 0.0])
+    for key in range(20):
+        for shape in (5, (3, 4), 0):
+            rng, ref = philox(key, 1), philox(key, 1)
+            got = rad.draw_from(rng, shape)
+            want = ref.choice([-1.0, 1.0], size=shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), ("rademacher", key, shape)
+            got = disc.draw_from(rng, shape)
+            want = ref.choice(values, size=shape, p=probs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), ("discrete", key, shape)
+            assert next_draws(rng) == next_draws(ref), (key, shape)
+
+
+@pytest.mark.parametrize("values, probs", [
+    ([1, 2], ["1/2"]),  # lengths differ
+    ([1, 2], ["-1/2", "3/2"]),  # a negative probability
+    ([1, 2], ["nan", "1/2"]),  # not finite
+    ([1, 2], ["1/2", "1/4"]),  # sums to 3/4
+    ([1, 2], ["1/2", "0.5000001"]),  # more than sqrt(eps) above 1
+])
+def test_discrete_probabilities_are_checked_as_generator_choice_checks_them(values, probs):
+    smp = Sampler("discrete", seed=1, params={"values": values, "probs": probs})
+    with pytest.raises(ValueError) as err:
+        smp.draw(3)
+    try:
+        p = [float(F(x)) for x in probs]
+    except ValueError:
+        return  # refused while parsing, as before
+    with pytest.raises(ValueError) as numpy_err:
+        philox(1, 0).choice([float(v) for v in values], size=3, p=p)
+    assert str(numpy_err.value).startswith(str(err.value))
+
+
+def test_discrete_probabilities_within_sqrt_eps_of_1_are_accepted():
+    smp = Sampler("discrete", seed=1, params={"values": [1, 2], "probs": ["1/2", "0.500000001"]})
+    want = philox(1, 0).choice([1.0, 2.0], size=50, p=[0.5, 0.500000001])
+    assert smp.draw(50).tobytes() == want.tobytes()
