@@ -31,7 +31,7 @@ def main() -> int:
               f"  z={rep['z']:+.2f}  within5se={rep['within_5se']}")
 
     print("# compound-Poisson cells, order 3 (symmetric jumps, target 0)")
-    cell = compound_poisson_cell_sampler(args.rate, lambda rng, c: rng.choice([-1.0, 1.0], size=c))
+    cell = compound_poisson_cell_sampler(args.rate, Sampler("rademacher", seed=args.seed).draw_from)
     for N in (10, 100, 1000):
         rep = kstat_experiment(cell, 0.0, 3, N, min(args.paths, 2000), args.horizon, args.seed + 1)
         print(f"  N={N:>5}  estimate={rep['estimate']:+.5f}  se={rep['se']:.5f}"

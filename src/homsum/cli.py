@@ -19,13 +19,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .partitions import (
-    DEFAULT_SIZE_CAP,
-    PartitionFilter,
-    SetPartition,
-    _walk,
-    moebius_to_top,
-)
+from .partitions import DEFAULT_SIZE_CAP, PartitionFilter, SetPartition, enumerate_partitions, moebius_to_top
 
 # the layer modules load inside the handlers that use them, so that a
 # subcommand imports (and compiles) only what it runs
@@ -134,13 +128,20 @@ def _load_kernel(path: str, mode: str) -> K.Kernel:
     return k
 
 
+def _rational(text: str, field: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliValidationError(field, f"--{field} must be a rational number, got {text!r}", field) from None
+
+
 def _parse_params(items) -> dict:
     out = {}
     for item in items or []:
         if "=" not in item:
             raise CliValidationError("law-param", f"expected key=value, got {item!r}", "law-param")
         key, val = item.split("=", 1)
-        out[key] = val
+        out[key] = _rational(val, "law-param")
     return out
 
 
@@ -156,7 +157,7 @@ def _load_law(args, max_order: int = 10) -> L.LawSpec:
                 return L.law_from_json(fh.read())
         except OSError as e:
             raise CliValidationError("law-file", f"cannot read law file {name}: {e.strerror}", "law")
-    params = {k: Fraction(v) for k, v in _parse_params(getattr(args, "law_param", None)).items()}
+    params = _parse_params(getattr(args, "law_param", None))
     try:
         return L.builtin_law(name, max_order=max_order, **params)
     except (L.LawError, TypeError) as e:
@@ -184,15 +185,14 @@ def cmd_partitions(args, cap):
         allowed_block_sizes=sizes if args.pairings or args.min_block_size > 1 else None,
         respects=SetPartition.parse(args.respects) if args.respects else None,
     )
-    # each row is written from the walk's block tuples in SetPartition's text
-    # form; wrapping every partition in a SetPartition cost as much as the walk
+    # rows hold SetPartition's text form, written through a digit table
     digits = [str(x) for x in range(min(args.n, cap) + 1)]
     mode = "noncrossing" if args.noncrossing else "classical"
     rows = []
-    for blocks in _walk(args.n, filt, cap):
-        row = {"partition": "|".join([",".join([digits[x] for x in b]) for b in blocks]), "blocks": len(blocks)}
+    for p in enumerate_partitions(args.n, filt, cap):
+        row = {"partition": "|".join([",".join([digits[x] for x in b]) for b in p]), "blocks": len(p)}
         if args.moebius:
-            row["moebius_to_top"] = moebius_to_top(SetPartition(args.n, blocks), mode)
+            row["moebius_to_top"] = moebius_to_top(p, mode)
         rows.append(row)
     return {"count": len(rows), "rows": rows}
 
@@ -259,7 +259,7 @@ def cmd_fmt_check(args, cap):
 
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
-    tol = Fraction(args.tol) if args.tol else None
+    tol = _rational(args.tol, "tol") if args.tol else None
     return M.fmt_report(M.SumSpec(f, law), tolerance=tol, cap=cap)
 
 
@@ -268,7 +268,7 @@ def cmd_noncentral_check(args, cap):
 
     f = _load_kernel(args.kernel, "exact")
     law = _load_law(args)
-    return M.noncentral_report(M.SumSpec(f, law), args.target, Fraction(args.param), cap)
+    return M.noncentral_report(M.SumSpec(f, law), args.target, _rational(args.param, "param"), cap)
 
 
 def cmd_joint_moment(args, cap):

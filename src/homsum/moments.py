@@ -28,9 +28,9 @@ cuts off the whole subtree below it.
 
 A permutation of the copies of one kernel leaves a partition's block sum
 unchanged, so :func:`joint_moment` takes one block sum per orbit of
-partitions, times the orbit's size (:func:`_respectful_orbits`): under the
-permutations of equal copies classically, under the rotations that keep the
-word in the free kind.
+partitions, times the orbit's size, and :func:`_respectful_blocks` caches
+only the representatives.  Orbits are those of the permutations of equal
+copies classically, of the rotations that keep the word in the free kind.
 
 Both routes are exact rational end to end; the oracle stays on plain
 Fractions.
@@ -54,7 +54,7 @@ from .partitions import (
     PartitionFilter,
     _factor_layout,
     _union_classes,
-    _walk,
+    enumerate_partitions,
     respectful_pairings,
 )
 
@@ -107,26 +107,6 @@ class SumSpec:
         return isinstance(self.law, LawSpec)
 
 
-@lru_cache(maxsize=4096)
-def _respectful_blocks(
-    degrees: tuple[int, ...],
-    noncrossing: bool,
-    sizes: frozenset[int],
-    cap: int,
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Cached enumeration of the partitions entering a lattice moment sum:
-    they respect the factor-interval partition and use only the block sizes
-    in ``sizes`` (those carrying a nonzero cumulant), as block tuples in
-    restricted-growth order."""
-    filt = PartitionFilter(
-        noncrossing=noncrossing,
-        allowed_block_sizes=sizes,
-        respects=_factor_layout(degrees),
-    )
-    D = sum(degrees)
-    return tuple(_walk(D, filt, cap))
-
-
 def _copy_maps(pattern: tuple[int, ...], degrees: tuple[int, ...], noncrossing: bool) -> list[list[int]]:
     """Position maps (p -> image of p, index 0 unused) generating the factor
     copy permutations that keep the value of every partition's block sum.
@@ -166,28 +146,31 @@ def _copy_maps(pattern: tuple[int, ...], degrees: tuple[int, ...], noncrossing: 
 
 
 @lru_cache(maxsize=4096)
-def _respectful_orbits(
+def _respectful_blocks(
     pattern: tuple[int, ...],
     degrees: tuple[int, ...],
     noncrossing: bool,
     sizes: frozenset[int],
     cap: int,
 ) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """The partitions of :func:`_respectful_blocks` grouped into orbits under
-    the copy permutations of :func:`_copy_maps`, as (the orbit's first
-    partition, the orbit's size) pairs in restricted-growth order.
+    """The partitions entering a lattice moment sum, one per orbit, as (the
+    orbit's first partition, its size) pairs in restricted-growth order.
 
-    Block sums are equal along an orbit, so the lattice sum takes one per
-    orbit, times its size.  A partition is keyed by the integer whose field
-    p holds the least position of p's block: the sum of its blocks' codes.
-    Each distinct block is coded once per map, so a partition's image key
-    is a sum of lookups.
+    The partitions respect the factor-interval partition of ``degrees`` and
+    use only the block sizes in ``sizes`` (those carrying a nonzero
+    cumulant); the orbits are those of :func:`_copy_maps` for the word
+    ``pattern``.  Block sums are equal along an orbit, so the lattice sum
+    takes one per orbit, times its size.  A partition is keyed by the
+    integer whose field p holds the least position of p's block: the sum of
+    its blocks' codes.  Each distinct block is coded once per map, so a
+    partition's image key is a sum of lookups.
     """
-    parts = _respectful_blocks(degrees, noncrossing, sizes, cap)
+    D = sum(degrees)
+    filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=sizes, respects=_factor_layout(degrees))
+    parts = tuple(enumerate_partitions(D, filt, cap))
     maps = _copy_maps(pattern, degrees, noncrossing) if len(parts) > 1 else []
     if not maps:
         return tuple((blocks, 1) for blocks in parts)
-    D = sum(degrees)
     field = [1 << p * D.bit_length() for p in range(D + 1)]
 
     def code(b) -> int:
@@ -348,7 +331,7 @@ def joint_moment(
         rows[size] = ([(i, w) for i, w in row.items() if w], den)
     # integer sums keyed by their denominator, which only the block sizes set
     sums: dict[int, int] = {}
-    for blocks, mult in _respectful_orbits(pattern, active_degrees, kind == "free", sizes, cap):
+    for blocks, mult in _respectful_blocks(pattern, active_degrees, kind == "free", sizes, cap):
         den = factor_den
         for b in blocks:
             den *= rows[len(b)][1]
@@ -370,7 +353,7 @@ def moment_exact(spec: SumSpec, m: int, cap: int = DEFAULT_SIZE_CAP) -> Fraction
 def _nc_blocks(D: int, min_block: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     sizes = None if min_block == 1 else range(min_block, D + 1)
     filt = PartitionFilter(noncrossing=True, allowed_block_sizes=sizes)
-    return tuple(_walk(D, filt, max(D, DEFAULT_SIZE_CAP)))
+    return tuple(enumerate_partitions(D, filt, max(D, DEFAULT_SIZE_CAP)))
 
 
 def _free_word_expectation(word, laws_for, centered, cache) -> Fraction:
@@ -465,7 +448,7 @@ def _wick_classes(
     filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=frozenset({2}), respects=star)
     counts: Counter = Counter()
     # the pairings are walked, not cached: only their class counts are kept
-    for pairing in _walk(star.n, filt, cap):
+    for pairing in enumerate_partitions(star.n, filt, cap):
         links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
         counts[tuple(map(tuple, _union_classes(m * len(orders), links)))] += 1
     return tuple(counts.items())
@@ -838,6 +821,9 @@ def stein_wasserstein_bound(
     with P1 = m4 E[(X^2+1)^2] + (m4+1)^2 and E[(X^2+1)^2] expanded through
     the law's moments.  R3 is a configured Rosenthal constant.
     """
+    for name, value in (("abs_third_moment", abs_third_moment), ("rosenthal_c3", rosenthal_c3)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     f = spec.kernel
     if f.d != 2:
         raise AssumptionError("the Stein-pair bound is quadratic-only (d = 2)")

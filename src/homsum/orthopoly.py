@@ -356,6 +356,8 @@ def recurrence_coeffs(F: MomentFunctional, N: int) -> dict:
     """Monic orthogonal polynomials with their Jacobi-Szego coefficients:
     p_{k+1} = (x - alpha_{k+1}) p_k - beta_{k+1} p_{k-1}.  Reads the main
     group only, to order 2N."""
+    if N < 0:
+        raise OrthopolyError("N must be >= 0")
     if len(F.groups[0]) <= 2 * N:
         raise OrthopolyError(f"need moments to order {2 * N}")
 
@@ -548,6 +550,10 @@ def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) ->
     """Gauss rule with n nodes: nodes are the roots of the degree-n monic
     orthogonal polynomial, weights solve the first n Vandermonde moment
     equations, and exactness is verified through degree 2n - 1."""
+    if n < 1:
+        raise OrthopolyError("n must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OrthopolyError(f"tol must be finite and >= 0, got {tol}")
     nodes, weights = _gauss_nodes_weights(F, n)
     max_resid = 0.0
     for k in range(2 * n):
@@ -715,6 +721,8 @@ def discriminant_product_poly(F: MomentFunctional, n: int, k: int) -> Poly:
     Hankel determinant D_n vanishes, gives the zero polynomial.  k >= 2 by
     monomial expansion and independence factorization.  Reads moments to
     order 2kn - 1."""
+    if n < 1 or k < 1:
+        raise OrthopolyError("need n >= 1 and k >= 1")
     if k == 1:
         return poly_trim([math.factorial(n) * c for c in _gops_cofactors(F, n, 1)])
     return _vandermonde_expectation(F, n, k, 2 * k - 1)
@@ -764,9 +772,11 @@ def sylvester_decompose(
     """
     import numpy as np
 
+    if mode == "appel" and k != 1:
+        raise OrthopolyError("the appel decomposition is defined for k = 1 only")
+    if n < 1 or k < 1:
+        raise OrthopolyError("need n >= 1 and k >= 1")
     if mode == "appel":
-        if k != 1:
-            raise OrthopolyError("the appel decomposition is defined for k = 1 only")
         m = 2 * n - 1
         nodes, weights = _gauss_nodes_weights(F, n)
         a_poly = translated_moment_poly(F, m)

@@ -1,13 +1,15 @@
 """Set partitions and non-crossing partitions of [n] = {1, ..., n}.
 
-The lattice moment engine, Wick sums, respectful pairing counts and joint
-cumulants run on the enumeration and Moebius machinery in this module.  The
-size cap guards the enumerations only: the Moebius values are closed forms.
-Ground-set elements are 1-based throughout.
+A partition is the tuple of its canonical blocks (:class:`SetPartition`).
+The moment engine, Wick sums, joint cumulants and the CLI all read the one
+enumeration, :func:`enumerate_partitions`.  The size cap guards the
+enumerations only: the Moebius values are closed forms.  Ground-set
+elements are 1-based throughout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,18 +31,24 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of [n] in canonical form.
+class SetPartition(tuple):
+    """A partition of [n] in canonical form: the tuple of its blocks.
 
     Canonical form: each block is an ascending tuple, blocks are sorted by
     their least element.  Construction through :meth:`from_blocks` (or
     :func:`kernel_of` etc.) guarantees canonicity; the raw constructor
-    trusts its input.
+    ``SetPartition(blocks)`` trusts its input.  ``len`` counts the blocks.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self))
+
+    @property
+    def blocks(self) -> "SetPartition":
+        return self
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "SetPartition":
@@ -57,15 +65,15 @@ class SetPartition:
                 seen.add(x)
         if len(seen) != n:
             raise ValueError("blocks do not cover the ground set")
-        return SetPartition(n, canon)
+        return SetPartition(canon)
 
     @staticmethod
     def bottom(n: int) -> "SetPartition":
-        return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
+        return SetPartition((i,) for i in range(1, n + 1))
 
     @staticmethod
     def top(n: int) -> "SetPartition":
-        return SetPartition(n, (tuple(range(1, n + 1)),))
+        return SetPartition((tuple(range(1, n + 1)),))
 
     @staticmethod
     def parse(text: str, n: Optional[int] = None) -> "SetPartition":
@@ -77,25 +85,22 @@ class SetPartition:
         return SetPartition.from_blocks(size, blocks)
 
     def __str__(self) -> str:
-        return "|".join(",".join(str(x) for x in b) for b in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
+        return "|".join(",".join(str(x) for x in b) for b in self)
 
     @property
     def block_of(self) -> dict[int, int]:
-        return _block_index_cached(self.blocks)
+        return _block_index_cached(self)
 
     def partition_class(self) -> tuple[int, ...]:
         """Block-size census as a descending integer partition of n."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+        return tuple(sorted(map(len, self), reverse=True))
 
     def is_noncrossing(self) -> bool:
         blk = self.block_of
         stack: list[int] = []
         for x in range(1, self.n + 1):
             b = blk[x]
-            block = self.blocks[b]
+            block = self[b]
             if x == block[0]:
                 stack.append(b)
             if stack[-1] != b:
@@ -107,7 +112,7 @@ class SetPartition:
     def respects(self, pi_star: "SetPartition") -> bool:
         """True when self /\\ pi_star is the bottom partition."""
         star = pi_star.block_of
-        for b in self.blocks:
+        for b in self:
             seen: set[int] = set()
             for x in b:
                 s = star[x]
@@ -134,13 +139,8 @@ def interval_partition(block_size: int, num_blocks: int) -> SetPartition:
 def _factor_layout(degrees: Sequence[int]) -> SetPartition:
     """Interval partition of the positions 1..sum(degrees) into one block per
     factor.  Zero-degree factors contribute no positions."""
-    blocks = []
-    p = 1
-    for deg in degrees:
-        if deg:
-            blocks.append(tuple(range(p, p + deg)))
-            p += deg
-    return SetPartition(p - 1, tuple(blocks))
+    starts = list(itertools.accumulate(degrees, initial=1))
+    return SetPartition(tuple(range(a, b)) for a, b in zip(starts, starts[1:]) if b > a)
 
 
 def kernel_of(indices) -> SetPartition:
@@ -156,7 +156,7 @@ def kernel_of(indices) -> SetPartition:
         else:
             first_pos[v] = len(groups)
             groups.append([pos])
-    return SetPartition(len(seq), tuple(tuple(g) for g in groups))
+    return SetPartition(map(tuple, groups))
 
 
 def lattice_meet(sigma: SetPartition, pi: SetPartition) -> SetPartition:
@@ -246,7 +246,7 @@ def enumerate_partitions(
     unpruned walk.  An empty size set yields nothing.  The checks on n, the
     cap and ``respects`` run at the first iteration.
     """
-    return (SetPartition(n, blocks) for blocks in _walk(n, filt, cap))
+    return map(SetPartition, _walk(n, filt, cap))
 
 
 def _walk(n: int, filt: PartitionFilter, cap: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -348,22 +348,6 @@ def _walk(n: int, filt: PartitionFilter, cap: int) -> Iterator[tuple[tuple[int, 
 
 def count_partitions(n: int, filt: PartitionFilter = PartitionFilter(), cap: int = DEFAULT_SIZE_CAP) -> int:
     return sum(1 for _ in _walk(n, filt, cap))
-
-
-def coarsenings(sigma: SetPartition, noncrossing: bool = False) -> Iterator[SetPartition]:
-    """All partitions tau >= sigma (merging whole blocks); optionally non-crossing only."""
-    b = len(sigma.blocks)
-    for merge in _walk(b, PartitionFilter(), DEFAULT_SIZE_CAP):
-        blocks = []
-        for group in merge:
-            merged: list[int] = []
-            for i in group:
-                merged.extend(sigma.blocks[i - 1])
-            blocks.append(sorted(merged))
-        tau = SetPartition.from_blocks(sigma.n, blocks)
-        if noncrossing and not tau.is_noncrossing():
-            continue
-        yield tau
 
 
 def moebius_to_top(sigma: SetPartition, mode: str = "classical") -> Fraction:

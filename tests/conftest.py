@@ -7,7 +7,7 @@ import pytest
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
 from homsum.orthopoly import poly_trim
-from homsum.partitions import PartitionFilter, enumerate_partitions, interval_partition, moebius_to_top
+from homsum.partitions import PartitionFilter, SetPartition, enumerate_partitions, interval_partition, moebius_to_top
 
 
 def per_class_enumeration(k):
@@ -91,6 +91,20 @@ def moebius_cumulant(oracle, n, kind):
             term *= oracle(b)
         total += term
     return total
+
+
+def coarsenings_of(sigma, noncrossing=False):
+    """All partitions tau >= sigma, made by merging whole blocks of sigma
+    along every partition of its blocks; optionally non-crossing ones only."""
+    for merge in enumerate_partitions(len(sigma)):
+        tau = SetPartition.from_blocks(sigma.n, [[x for i in group for x in sigma[i - 1]] for group in merge])
+        if not noncrossing or tau.is_noncrossing():
+            yield tau
+
+
+@pytest.fixture(scope="session")
+def coarsenings():
+    return coarsenings_of
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # committed kernels: half.json is X1 X2 (f = 1/2 off the diagonal, n = 2),
 # k5.json a signed rational off-diagonal kernel on n = 5
 DATA = ROOT / "tests" / "data"
+HALF = str(DATA / "half.json")
 
 
 @pytest.fixture
@@ -213,6 +215,32 @@ def test_lu_gaussian_needs_the_gaussian_law(tmp_path):
 def test_flags_a_run_would_ignore_exit_2(argv, field, tmp_path):
     code, payload = run_json(argv, tmp_path)
     assert code == 2 and payload["result"]["error"]["field"] == field
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["fmt-check", "--kernel", HALF, "--law", "gaussian", "--tol", "1/0"], "tol"),
+    (["noncentral-check", "--kernel", HALF, "--law", "gaussian", "--target", "gamma", "--param", "1/0"], "param"),
+    (["moment", "--kernel", HALF, "--law", "gaussian", "--law-param", "sigma2=1/0", "--order", "4"], "law-param"),
+    (["quadrature", "--law", "gaussian", "--n", "-2"], "n"),
+    (["recurrence", "--law", "gaussian", "--n", "-1"], "N"),
+    (["sylvester", "--law", "gaussian", "--n", "2", "--k", "0"], "k"),
+    (["sylvester", "--law", "gaussian", "--n", "0"], "n"),
+    (["quadrature", "--law", "gaussian", "--n", "3", "--tol-float", "nan"], "tol"),
+    (["stein-bound", "--kernel", HALF, "--law", "gaussian", "--abs-third-moment", "nan"], "abs_third_moment"),
+    (["stein-bound", "--kernel", HALF, "--law", "gaussian", "--abs-third-moment", "inf"], "abs_third_moment"),
+    (["stein-bound", "--kernel", HALF, "--law", "gaussian", "--abs-third-moment", "1.6", "--rosenthal", "nan"],
+     "rosenthal_c3"),
+])
+def test_bad_numeric_arguments_exit_2_naming_their_field(argv, field, capsys):
+    # a record names its field in "field" (flags the CLI parses) or in its
+    # message (arguments a library routine refuses)
+    assert run(argv) == 2
+    error = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["result"]["error"]
+    assert field in (error["field"], *re.findall(r"\w+", error["message"])), error
 
 
 def test_kstat_compound_poisson_defaults(tmp_path, capsys):

@@ -34,7 +34,6 @@ from homsum.moments import (
     _fourth_class_sums,
     _free_word_expectation,
     _respectful_blocks,
-    _respectful_orbits,
     _standard_fourth,
     fmt_report,
     fourth_moment_formula,
@@ -47,7 +46,7 @@ from homsum.moments import (
     stein_wasserstein_bound,
     wick_moment,
 )
-from homsum.partitions import PartitionFilter, _factor_layout, count_partitions, respectful_pairings
+from homsum.partitions import PartitionFilter, _factor_layout, count_partitions, enumerate_partitions, respectful_pairings
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -258,8 +257,9 @@ def orbits_by_canonical_forms(pattern, degrees, noncrossing, sizes):
         moved = {starts[j] + t: starts[s[j]] + t for j in range(m) for t in range(degrees[j])}
         return tuple(sorted(tuple(sorted(moved[p] for p in b)) for b in blocks))
 
+    filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=frozenset(sizes), respects=_factor_layout(degrees))
     orbits: dict = {}
-    for blocks in _respectful_blocks(degrees, noncrossing, frozenset(sizes), 14):
+    for blocks in enumerate_partitions(sum(degrees), filt, 14):
         orbits.setdefault(min(image(blocks, s) for s in group), []).append(blocks)
     return [(members[0], len(members)) for members in orbits.values()]
 
@@ -273,7 +273,7 @@ def orbits_by_canonical_forms(pattern, degrees, noncrossing, sizes):
 ])
 def test_orbit_multiplicities_count_the_respectful_partitions(degrees, noncrossing, sizes, orbits):
     sizes = frozenset(sizes)
-    got = _respectful_orbits((0,) * len(degrees), degrees, noncrossing, sizes, 14)
+    got = _respectful_blocks((0,) * len(degrees), degrees, noncrossing, sizes, 14)
     assert len(got) == orbits
     filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=sizes, respects=_factor_layout(degrees))
     assert sum(mult for _, mult in got) == count_partitions(sum(degrees), filt, cap=14)
@@ -289,16 +289,25 @@ def test_orbit_multiplicities_count_the_respectful_partitions(degrees, noncrossi
 ])
 @pytest.mark.parametrize("noncrossing", [False, True])
 def test_orbits_equal_the_classes_of_least_images(pattern, degrees, noncrossing, sizes):
-    got = _respectful_orbits(pattern, degrees, noncrossing, frozenset(sizes), 14)
+    got = _respectful_blocks(pattern, degrees, noncrossing, frozenset(sizes), 14)
     assert list(got) == orbits_by_canonical_forms(pattern, degrees, noncrossing, sizes)
 
 
 def test_a_free_word_without_a_period_has_only_trivial_orbits():
     for pattern, degrees in (((0, 0, 0, 1), (1, 1, 1, 1)), ((0, 1, 0, 0, 1), (2, 2, 2, 2, 2)), ((0, 0, 1, 1, 1), (1,) * 5)):
         sizes = frozenset(range(2, sum(degrees) + 1))
-        got = _respectful_orbits(pattern, degrees, True, sizes, 14)
-        assert got == tuple((blocks, 1) for blocks in _respectful_blocks(degrees, True, sizes, 14))
+        got = _respectful_blocks(pattern, degrees, True, sizes, 14)
+        filt = PartitionFilter(noncrossing=True, allowed_block_sizes=sizes, respects=_factor_layout(degrees))
+        assert got == tuple((blocks, 1) for blocks in enumerate_partitions(sum(degrees), filt, 14))
         assert len(got) > 1
+
+
+def test_the_engine_caches_only_orbit_representatives():
+    assert moment_exact(SumSpec(offdiag_kernel(5), gaussian()), 6) == 26496000
+    hits = _respectful_blocks.cache_info().hits
+    cached = _respectful_blocks((0,) * 6, (2,) * 6, False, frozenset({2}), 14)
+    assert _respectful_blocks.cache_info().hits == hits + 1
+    assert len(cached) == 24 and sum(size for _, size in cached) == 6040
 
 
 def test_joint_moment_matches_the_oracle_on_mixed_words():

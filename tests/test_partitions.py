@@ -12,11 +12,11 @@ from homsum.partitions import (
     SetPartition,
     SizeCapError,
     catalan,
-    coarsenings,
     count_partitions,
     double_factorial,
     enumerate_partitions,
     _check_cap,
+    _walk,
     interval_partition,
     kernel_of,
     lattice_join,
@@ -140,7 +140,7 @@ def _recursive_walk(
     def rec(x: int) -> Iterator[SetPartition]:
         if x > n:
             if sizes is None or all(len(b) in sizes for b in blocks):
-                yield SetPartition(n, tuple(tuple(b) for b in blocks))
+                yield SetPartition(tuple(tuple(b) for b in blocks))
             return
         remaining = n - x + 1
         for b in blocks:
@@ -193,6 +193,17 @@ def test_walk_equals_the_recursive_walk_in_order():
                     assert p.respects(filt.respects)
                 if sizes is not None:
                     assert all(len(b) in sizes for b in p.blocks)
+
+
+def test_a_partition_is_its_block_tuple():
+    for n in range(1, 8):
+        for p, blocks in zip(enumerate_partitions(n), _walk(n, PartitionFilter(), DEFAULT_SIZE_CAP)):
+            assert type(p) is SetPartition and p == blocks and hash(p) == hash(blocks)
+            q = SetPartition.from_blocks(n, reversed(blocks))
+            assert q == p and hash(q) == hash(p)
+            text = "|".join(",".join(map(str, b)) for b in blocks)
+            assert (p.n, p.blocks, len(p), str(p)) == (q.n, q.blocks, len(q), str(q)) == (n, blocks, len(blocks), text)
+    assert SetPartition.parse("1,3|2").n == 3 and len(SetPartition.top(5)) == 1
 
 
 def test_walk_errors_at_the_first_iteration():
@@ -287,7 +298,7 @@ def test_moebius_requires_noncrossing_argument():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_moebius_inversion_identity(n):
+def test_moebius_inversion_identity(n, coarsenings):
     # for every pi: sum over sigma >= pi of mu(sigma, top) is [pi == top]
     for pi in enumerate_partitions(n):
         total = sum(moebius_to_top(s) for s in coarsenings(pi))
@@ -295,7 +306,7 @@ def test_moebius_inversion_identity(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_moebius_inversion_identity_noncrossing(n):
+def test_moebius_inversion_identity_noncrossing(n, coarsenings):
     for pi in enumerate_partitions(n, PartitionFilter(noncrossing=True)):
         total = sum(
             moebius_to_top(s, "noncrossing") for s in coarsenings(pi, noncrossing=True)
