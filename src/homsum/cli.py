@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -133,6 +134,15 @@ def _rational(text: str, field: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliValidationError(field, f"--{field} must be a rational number, got {text!r}", field) from None
+
+
+def _finite(value: float, field: str, nonnegative: bool = False) -> float:
+    """A float flag checked before any sampler is built: finite, and >= 0 if
+    ``nonnegative``.  Other bounds are left to the library routine."""
+    if not (math.isfinite(value) and (value >= 0 or not nonnegative)):
+        bound = " and >= 0" if nonnegative else ""
+        raise CliValidationError(field, f"--{field} must be finite{bound}, got {value}", field)
+    return value
 
 
 def _parse_params(items) -> dict:
@@ -403,6 +413,8 @@ def cmd_simulate_invariance(args, cap):
 def cmd_simulate_levy(args, cap):
     from . import stochsim as S
 
+    for flag in ("rate", "sigma2", "horizon"):
+        _finite(getattr(args, flag), flag)
     jump = S.Sampler(args.jumps, seed=args.seed + 13)
     orders = [int(x) for x in args.orders.split(",")]
     rep = S.variations_cumulant_check(
@@ -428,7 +440,7 @@ def cmd_kstat(args, cap):
         cell = S.gaussian_cell_sampler
         target = args.horizon if args.order == 2 else 0.0
     else:  # compound_poisson
-        rate = 2.0 if args.rate is None else args.rate
+        rate = 2.0 if args.rate is None else _finite(args.rate, "rate", nonnegative=True)
         jump = S.Sampler("rademacher" if args.jumps is None else args.jumps, seed=args.seed)
         cell = S.compound_poisson_cell_sampler(rate, jump.draw_from)
         target = args.horizon * rate * float(jump.law_spec(max(8, 2 * args.order)).moment(args.order))

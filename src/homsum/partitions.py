@@ -1,10 +1,13 @@
 """Set partitions and non-crossing partitions of [n] = {1, ..., n}.
 
 A partition is the tuple of its canonical blocks (:class:`SetPartition`).
-The moment engine, Wick sums, joint cumulants and the CLI all read the one
-enumeration, :func:`enumerate_partitions`.  The size cap guards the
-enumerations only: the Moebius values are closed forms.  Ground-set
-elements are 1-based throughout.
+The moment engine and the CLI read the one enumeration,
+:func:`enumerate_partitions`.  :func:`count_partitions` counts what it would
+yield over the states of its walk, building no partition, so the Wick and
+Wigner pairing counts, Riordan numbers and the chaos-law moments built from
+them visit at most a few thousand states, not one per partition.  The size cap
+guards the enumerations and counts only: the Moebius values are closed
+forms.  Ground-set elements are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -347,7 +350,84 @@ def _walk(n: int, filt: PartitionFilter, cap: int) -> Iterator[tuple[tuple[int, 
 
 
 def count_partitions(n: int, filt: PartitionFilter = PartitionFilter(), cap: int = DEFAULT_SIZE_CAP) -> int:
-    return sum(1 for _ in _walk(n, filt, cap))
+    """The number of partitions :func:`enumerate_partitions` yields, counted
+    over the walk's states without building a block tuple.
+
+    Once 1, ..., x - 1 are placed, the walk's future depends only on each
+    block that may still grow: its size and the ``respects`` classes it holds
+    that still have elements to come.  So one pass over x = 1, ..., n keeps
+    a dict from each such state to the number of walks into it, and makes
+    the walk's moves from every state at once.  Under the classical kind the
+    state is a sorted multiset, so each distinct block type is joined once,
+    times its multiplicity; under ``noncrossing`` it is the stack in order,
+    and a join closes the blocks above it, which must have allowed sizes.  A
+    block that reaches the greatest allowed size <= n can take nothing more
+    and is dropped; when every size from some t up to n is allowed, the
+    sizes >= t are one state; and the walk's deficit prune is kept.  The
+    dicts live for one call.  The checks and their errors are the walk's, in
+    its order; an empty size set counts 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    _check_cap(n, cap)
+    star = filt.respects
+    if star is not None and star.n != n:
+        raise ValueError("respects-partition ground set does not match n")
+    sizes = filt.allowed_block_sizes
+    ok = [sizes is None or k in sizes for k in range(n + 1)]
+    allowed = [k for k in range(1, n + 1) if ok[k]]
+    if not allowed:
+        return 0
+    lo, full = allowed[0], allowed[-1]
+    top = n + 1  # the sizes from top to n are all allowed
+    while top > 1 and ok[top - 1]:
+        top -= 1
+    # the size class of a block of class k after it takes one more element, None when full
+    grown = [None if k + 1 == full else min(k + 1, top) for k in range(n + 1)]
+    opened = grown[0]
+    bit = [0] * (n + 1)
+    live = [0] * (n + 1)  # the classes with an element after x
+    if star is not None:
+        for c, block in enumerate(star):
+            for x in block:
+                bit[x] = 1 << c
+            for x in range(1, block[-1]):
+                live[x] |= 1 << c
+    nc = filt.noncrossing
+    ways = {(): 1}  # each state after 1, ..., x - 1 are placed: the number of walks into it
+
+    def add(after: list, times: int) -> None:
+        # file a move into the states after x, those of nxt with left elements to come
+        if sum(lo - k for k, _ in after if k < lo) <= left:
+            key = tuple(after) if nc else tuple(sorted(after))
+            nxt[key] = nxt.get(key, 0) + times
+
+    for x in range(1, n + 1):
+        bx, keep, left = bit[x], live[x], n - x
+        nxt: dict = {}
+        for state, w in ways.items():
+            rest = [(k, m & keep) for k, m in state]
+            add(rest if opened is None else rest + [(opened, bx & keep)], w)
+            if nc:
+                for i in range(len(state) - 1, -1, -1):
+                    k, m = state[i]
+                    if not m & bx:
+                        after = rest[:i]
+                        if grown[k] is not None:
+                            after.append((grown[k], (m | bx) & keep))
+                        add(after, w)
+                    if not ok[k]:  # a join below would close this block
+                        break
+            else:
+                for i, (k, m) in enumerate(state):
+                    if m & bx or (i and state[i - 1] == state[i]):
+                        continue
+                    after = rest[:i] + rest[i + 1:]
+                    if grown[k] is not None:
+                        after.append((grown[k], (m | bx) & keep))
+                    add(after, w * state.count(state[i]))
+        ways = nxt
+    return sum(w for state, w in ways.items() if all(ok[k] for k, _ in state))
 
 
 def moebius_to_top(sigma: SetPartition, mode: str = "classical") -> Fraction:

@@ -51,6 +51,8 @@ _SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered
 EXACT_CAP_POSITIONS = 12
 # variations_cumulant_check splits its paths into this many groups for the standard error
 CUMULANT_GROUPS = 50
+# compound_poisson_cell_sampler draws cells one by one from this cell mean on
+SKIP_MEAN_LIMIT = 0.075
 # the Rademacher values, indexed by integers(0, 2) as Generator.choice indexes them
 _SIGNS = np.array([-1.0, 1.0])
 
@@ -317,8 +319,8 @@ class JumpPath:
 
 
 def _check_levy_args(lam: float, sigma2: float, horizon: float) -> None:
-    if not (lam >= 0 and sigma2 >= 0 and horizon > 0):
-        raise ValueError(f"need lam >= 0, sigma2 >= 0 and horizon > 0; got {lam}, {sigma2}, {horizon}")
+    if not (all(map(math.isfinite, (lam, sigma2, horizon))) and lam >= 0 and sigma2 >= 0 and horizon > 0):
+        raise ValueError(f"need finite lam >= 0, sigma2 >= 0 and horizon > 0; got {lam}, {sigma2}, {horizon}")
 
 
 def _levy_draws(
@@ -439,14 +441,21 @@ def compound_poisson_cell_sampler(lam: float, jump_draw: Callable[[np.random.Gen
     is above exp(-mean), they rewind the stream, skip the empty cells before
     it, and draw that cell's count and jumps as a scalar cell would.  The
     window is about four expected gaps between nonempty cells, so a dense
-    path does not read ahead the whole path for each cell.  A mean of 0
-    (no draws) or >= 10 (numpy's rejection method) keeps the scalar loop.
+    path does not read ahead the whole path for each cell.
+
+    Each nonempty cell costs a state save and restore and a window read on
+    top of a scalar cell, so the skip pays only while most cells are empty.
+    The two routes cross at a cell mean of about 0.07 (exp(-mean) about
+    0.93; measured with Rademacher and Gaussian jumps, 50 paths of 1000
+    cells, on a 2-vCPU Xeon VM): from ``SKIP_MEAN_LIMIT`` = 0.075 on, and
+    at a mean of 0 (no draws), the cells run the scalar loop.  This also
+    keeps the skip below numpy's switch to the rejection method at 10.
     """
 
     def cells(measure: float, rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.zeros(count)
         mean = lam * measure
-        if not 0 < mean < 10:
+        if not 0 < mean < SKIP_MEAN_LIMIT:
             for i in range(count):
                 k = int(rng.poisson(mean))
                 if k:

@@ -243,6 +243,21 @@ def test_bad_numeric_arguments_exit_2_naming_their_field(argv, field, capsys):
     assert field in (error["field"], *re.findall(r"\w+", error["message"])), error
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["kstat", "--measure", "compound_poisson", "--rate", "nan"], "rate"),
+    (["kstat", "--measure", "compound_poisson", "--rate", "-0.5"], "rate"),
+    (["simulate-levy", "--horizon", "inf"], "horizon"),
+    (["simulate-levy", "--rate", "inf"], "rate"),
+    (["simulate-levy", "--sigma2", "nan"], "sigma2"),
+])
+def test_non_finite_monte_carlo_flags_exit_2_naming_the_flag(argv, field, capsys):
+    # checked before any sampler is built, so the record names the flag and
+    # not numpy's Poisson parameter
+    assert run(argv) == 2
+    error = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["result"]["error"]
+    assert error["field"] == field and f"--{field}" in error["message"], error
+
+
 def test_kstat_compound_poisson_defaults(tmp_path, capsys):
     base = ["kstat", "--measure", "compound_poisson", "--order", "3", "--paths", "50", "--refinement", "10"]
     outputs = []

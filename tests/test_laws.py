@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ from homsum.laws import (
     transformed_law,
     uniform_centered,
 )
-from homsum.partitions import PartitionFilter, SizeCapError, catalan, enumerate_partitions
+from homsum.partitions import PartitionFilter, SizeCapError, catalan, double_factorial, enumerate_partitions
 
 
 ALL_LAWS = [
@@ -242,6 +243,23 @@ def test_transformed_laws():
     assert transformed_law("gaussian", 3, 4).moment(3) == 0  # odd h*k
     with pytest.raises(LawError):
         transformed_law("gaussian", 2, max_order=20)
+
+
+def test_transformed_laws_at_the_cap_equal_closed_forms():
+    # H_2(N) = N^2 - 1 and U_2(S) = S^2 - 1 by the binomial theorem over
+    # E[N^2j] = (2j - 1)!! and E[S^2j] = Cat_j, for every order the default
+    # cap allows (h * k <= 14)
+    def centered(even_moment, k):
+        return sum(math.comb(k, j) * (-1) ** (k - j) * even_moment(j) for j in range(k + 1))
+
+    h2 = transformed_law("gaussian", 2)
+    u2 = transformed_law("semicircle", 2)
+    want_h2 = [centered(lambda j: double_factorial(2 * j - 1), k) for k in range(8)]
+    want_u2 = [centered(catalan, k) for k in range(8)]
+    assert want_h2 == [1, 0, 2, 8, 60, 544, 6040, 79008]
+    assert want_u2 == [1, 0, 1, 1, 3, 6, 15, 36]
+    assert [h2.moment(k) for k in range(8)] == want_h2
+    assert [u2.moment(k) for k in range(8)] == want_u2
 
 
 def test_multivariate_cumulants():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from typing import Iterator
 
@@ -102,7 +103,7 @@ def test_empty_size_set_yields_nothing():
     for n in range(1, 7):
         assert parts(n, allowed_block_sizes=()) == []
         assert parts(n, allowed_block_sizes=range(n + 1, n + 3), noncrossing=True) == []
-    # an empty set stops before the walk; the Bell(14) tree would take minutes
+    # an empty set counts 0 without a state
     assert count_partitions(14, PartitionFilter(allowed_block_sizes=frozenset())) == 0
 
 
@@ -243,6 +244,73 @@ def test_walk_errors_at_the_first_iteration():
                      PartitionFilter(True, frozenset(), SetPartition.top(n))):
             assert list(enumerate_partitions(n, filt)) == []
             assert count_partitions(n, filt) == 0
+
+
+def test_count_equals_the_walk_on_a_seeded_grid():
+    # the count never walks, so the number of walk leaves referees it on
+    # random filters: both kinds, size sets with sizes above n and the empty
+    # set, random respects partitions
+    rnd = random.Random(20)
+    for _ in range(600):
+        n = rnd.randint(1, 9)
+        noncrossing = rnd.random() < 0.5
+        r = rnd.random()
+        if r < 0.15:
+            sizes = None
+        elif r < 0.2:
+            sizes = frozenset()
+        else:
+            sizes = frozenset(rnd.sample(range(1, n + 4), rnd.randint(1, 4)))
+        star = None
+        if rnd.random() < 0.7:
+            star = kernel_of([rnd.randrange(rnd.randint(1, n)) for _ in range(n)])
+        filt = PartitionFilter(noncrossing, sizes, star)
+        assert count_partitions(n, filt) == sum(1 for _ in _walk(n, filt, DEFAULT_SIZE_CAP)), (n, filt)
+
+
+def test_counts_at_the_cap_equal_closed_forms(monkeypatch):
+    import homsum.partitions as P
+
+    def refuse(*args):
+        raise AssertionError("a count walked")
+
+    monkeypatch.setattr(P, "_walk", refuse)
+    monkeypatch.setattr(P, "enumerate_partitions", refuse)
+    n = DEFAULT_SIZE_CAP
+    row = [1]  # the Bell triangle: each row starts with the end of the last
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    riordan_seq = [1, 0]  # (m + 1) R(m) = (m - 1) (2 R(m - 1) + 3 R(m - 2))
+    for m in range(2, n + 1):
+        riordan_seq.append((m - 1) * (2 * riordan_seq[-1] + 3 * riordan_seq[-2]) // (m + 1))
+    assert row[-1] == 190899322 and riordan_seq[-1] == 30537
+    assert count_partitions(n) == row[-1]
+    assert count_partitions(n, PartitionFilter(noncrossing=True)) == math.comb(2 * n, n) // (n + 1)
+    assert count_partitions(n, PartitionFilter(allowed_block_sizes={2})) == math.prod(range(1, n, 2))
+    assert riordan(n) == riordan_seq[-1]
+
+
+def test_count_raises_the_walks_errors_in_its_order():
+    # each input breaks two or three checks; the count must report the one
+    # the walk reports first
+    star3, star5 = SetPartition.bottom(3), SetPartition.bottom(5)
+    inputs = [
+        (0, PartitionFilter(), -1),
+        (-2, PartitionFilter(respects=star3), DEFAULT_SIZE_CAP),
+        (15, PartitionFilter(respects=star3), DEFAULT_SIZE_CAP),
+        (6, PartitionFilter(True, frozenset(), star5), 5),
+        (4, PartitionFilter(True, frozenset(), star5), DEFAULT_SIZE_CAP),
+        (4, PartitionFilter(False, {9}, star3), DEFAULT_SIZE_CAP),
+    ]
+    for n, filt, cap in inputs:
+        with pytest.raises(ValueError) as want:
+            next(_walk(n, filt, cap))
+        with pytest.raises(ValueError) as got:
+            count_partitions(n, filt, cap)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value)), (n, filt, cap)
 
 
 def test_respects_matches_meet_definition():

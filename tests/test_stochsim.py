@@ -14,6 +14,7 @@ from homsum.moments import SumSpec, moment_exact
 from homsum.partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 from homsum.stochsim import (
     CUMULANT_GROUPS,
+    SKIP_MEAN_LIMIT,
     _normal_quantiles,
     _stream,
     JumpPath,
@@ -458,7 +459,8 @@ def next_draws(rng):
 # cell means lam * nu(A): 0 draws nothing; up to just below 10 numpy's
 # poisson uses the multiplication method, whose first double decides an
 # empty cell; from 10 on it uses rejection (PTRS)
-CELL_MEANS = [0.0, 1e-320, 1e-9, 0.004, 0.02, 0.68, 3.0, 9.5, math.nextafter(10.0, 0.0), 10.0, 25.0]
+CELL_MEANS = [0.0, 1e-320, 1e-9, 0.004, 0.02, math.nextafter(SKIP_MEAN_LIMIT, 0.0), SKIP_MEAN_LIMIT,
+              0.68, 3.0, 9.5, math.nextafter(10.0, 0.0), 10.0, 25.0]
 
 
 def test_cell_samplers_draw_what_scalar_cells_drew():
@@ -483,7 +485,8 @@ def test_cell_samplers_draw_what_scalar_cells_drew():
 def test_cells_on_both_sides_of_the_poisson_method_switch():
     # a cell at mean 10 is empty with probability e^-10, so only a long path
     # shows whether the empty-cell rule of the multiplication method is
-    # applied on the wrong side of the switch
+    # applied on the wrong side of the switch (it would be if
+    # SKIP_MEAN_LIMIT were raised past 10)
     draw = LAWS[0].draw_from
     for mean in (math.nextafter(10.0, 0.0), 10.0):
         rng, ref = philox(5, 5), philox(5, 5)
@@ -538,6 +541,13 @@ def test_monte_carlo_checks_refuse_meaningless_inputs():
         variations_cumulant_check(2.0, rad, rad.law_spec(8), 0.0, 1.0, (0, 2), paths=10, seed=30)
     with pytest.raises(ValueError):
         compound_poisson_path(2.0, rad, -0.5, 1.0, seed=1)
+    # non-finite rates, levels and horizons are refused before numpy sees a Poisson mean
+    for lam, sigma2, horizon in ((math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0), (2.0, math.inf, 1.0),
+                                 (2.0, 0.0, math.inf), (2.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="need finite"):
+            compound_poisson_path(lam, rad, sigma2, horizon, seed=1)
+        with pytest.raises(ValueError, match="need finite"):
+            variations_cumulant_check(lam, rad, rad.law_spec(8), sigma2, horizon, (2,), paths=10, seed=30)
 
 
 def test_sampler_draws_equal_generator_choice():
