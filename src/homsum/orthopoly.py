@@ -30,7 +30,8 @@ if TYPE_CHECKING:
 Poly = tuple[Fraction, ...]
 MultiPoly = dict[tuple[int, ...], Fraction]
 
-# most exact determinants the expectation route may take, r!(n+1)
+# most exact determinants the expectation route may take, r!(n+1); it runs r!
+# eliminations, each giving the n+1 determinants of one n x (n+1) matrix
 EXPECTATION_GUARD = 10**4
 # most monomials a Vandermonde-power expansion may hold; only E[Delta^(2k)]
 # for k >= 3 and p_{n,k} for k >= 2 expand, the lower powers have determinant forms
@@ -68,20 +69,6 @@ def poly_deg(p: Sequence[Fraction]) -> int:
     return len(p) - 1
 
 
-def poly_add(p, q) -> Poly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(p, c) -> Poly:
-    c = Fraction(c)
-    return poly_trim([c * x for x in p])
-
-
 def poly_mul(p, q) -> Poly:
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -107,13 +94,9 @@ def poly_to_strings(p) -> list[str]:
 # exact determinants
 
 
-def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square Fraction matrix: denominators are cleared per
-    row, the integer core goes through fraction-free Bareiss elimination, and
-    the scaling is divided back out."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], Fraction]:
+    """The integer rows left by clearing each row's denominators, and the
+    product of those denominators."""
     scale = Fraction(1)
     m: list[list[int]] = []
     for row in rows:
@@ -121,6 +104,17 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
         den = math.lcm(*(x.denominator for x in row))
         scale *= den
         m.append([x.numerator * (den // x.denominator) for x in row])
+    return m, scale
+
+
+def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square Fraction matrix: denominators are cleared per
+    row, the integer core goes through fraction-free Bareiss elimination, and
+    the scaling is divided back out."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m, scale = _cleared(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -140,16 +134,69 @@ def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1]) / scale
 
 
+def _row_cofactors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """c_j = (-1)^j det(rows without column j) for an n x (n+1) Fraction
+    matrix, from one elimination instead of n+1 determinants.
+
+    Denominators are cleared per row, as in ``exact_det``.  One fraction-free
+    Gauss-Jordan pass (Bareiss) with row swaps then picks pivot columns left
+    to right.  When every row gets a pivot, the one column f without a pivot
+    ends as the column v = d B^-1 f of Cramer numerators, where d = det B is
+    the pivot block's determinant (after the swaps) and every pivot-row
+    diagonal reads d.  So c_f is (-1)^f d and each pivot column's c_j is
+    -(-1)^f v_t, both times the swap sign over the row scale.  A second
+    column without a pivot means rank < n, and every c_j is 0."""
+    n = len(rows)
+    m, scale = _cleared(rows)
+    sign, prev, free = 1, 1, None
+    pivots: list[int] = []
+    for col in range(n + 1):
+        k = len(pivots)
+        if k == n:
+            break
+        if m[k][col] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][col]), None)
+            if i is None:
+                if free is not None:
+                    return [Fraction(0)] * (n + 1)
+                free = col
+                continue
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        # only the free column and the columns still to come change; pivot
+        # columns hold prev on their row's diagonal (now the new pivot) and 0 elsewhere
+        live = list(range(col + 1, n + 1)) if free is None else [free, *range(col + 1, n + 1)]
+        pk, piv = m[k], m[k][col]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = m[i]
+            a = ri[col]
+            for j in live:
+                ri[j] = (ri[j] * piv - a * pk[j]) // prev
+        prev = piv
+        pivots.append(col)
+    if free is None:
+        free = n
+    unit = Fraction((-1) ** free * sign) / scale
+    out = [Fraction(0)] * (n + 1)
+    out[free] = prev * unit
+    for t, j in enumerate(pivots):
+        out[j] = -m[t][free] * unit
+    return out
+
+
 def _cofactors(
     moment: Callable, ks: Sequence[tuple[int, ...]], hs: Sequence[tuple[int, ...]]
 ) -> list[Fraction]:
     """Cofactors along the symbolic monomial row of the generalized moment
     determinant with columns ``ks``: below that row come the main group's
     rows shifted by every h in ``hs``, then one unshifted row per extra group
-    1, 2, ... to square the matrix.  ``moment(g, k)`` reads group g."""
+    1, 2, ... to square the matrix.  ``moment(g, k)`` reads group g.  One
+    ``_row_cofactors`` elimination yields them all."""
     rows = [[moment(0, tuple(a + b for a, b in zip(k, h))) for k in ks] for h in hs]
     rows += [[moment(g, k) for k in ks] for g in range(1, len(ks) - len(hs))]
-    return [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(ks))]
+    return _row_cofactors(rows)
 
 
 def _pfaffian(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -269,8 +316,9 @@ def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
     (n+1)x(n+1) determinant whose column j >= 1 holds E[X_j^(i+sigma_j)] for
     i = 0..n (sigma_j = 0 for j > r).  Expanding it along the x_0 column
     gives coefficient i as sum_sigma sgn(sigma) (-1)^i times the n x n minor
-    without row i: r!(n+1) exact determinants instead of r!(n+1)! moment
-    products.
+    without row i.  The n + 1 minors of one sigma come from one
+    ``_row_cofactors`` elimination of the n x (n+1) column matrix: r!
+    eliminations instead of r!(n+1)! moment products.
 
     X_1..X_r follow the main group; X_{r+t} follows group t.  Reads the main
     group to order 2n - m and each extra group to order n.
@@ -285,10 +333,9 @@ def gops_expectation(F: MomentFunctional, n: int, m: int) -> Poly:
     coeffs = [Fraction(0)] * (n + 1)
     for sigma in itertools.permutations(range(r)):
         cols = [main[s:s + n + 1] for s in sigma] + extra
-        rows = list(zip(*cols))
         sgn = _perm_sign(sigma)
-        for i in range(n + 1):
-            coeffs[i] += (-1) ** i * sgn * exact_det(rows[:i] + rows[i + 1:])
+        for i, c in enumerate(_row_cofactors(cols)):
+            coeffs[i] += sgn * c
     p = poly_trim(coeffs)
     if poly_deg(p) != n:
         raise DegenerateError(
@@ -355,35 +402,48 @@ def orthogonality_check(F: MomentFunctional, p: Poly, n: int, m: int) -> dict:
 def recurrence_coeffs(F: MomentFunctional, N: int) -> dict:
     """Monic orthogonal polynomials with their Jacobi-Szego coefficients:
     p_{k+1} = (x - alpha_{k+1}) p_k - beta_{k+1} p_{k-1}.  Reads the main
-    group only, to order 2N."""
+    group only, to order 2N.
+
+    The coefficients come from the moments alone by the Chebyshev algorithm
+    (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004,
+    sec. 2.1.7), in O(N^2) exact operations: with the mixed moments
+    s_{k,l} = <p_k, x^l>,
+    s_{k,l} = s_{k-1,l+1} - alpha_{k-1} s_{k-1,l} - beta_{k-1} s_{k-2,l},
+    alpha_k = s_{k,k+1}/s_{k,k} - s_{k-1,k}/s_{k-1,k-1} and
+    beta_k = s_{k,k}/s_{k-1,k-1}.  s_{k,k} is <p_k, p_k>, so a zero one is
+    the Hankel degeneracy.  The polynomials follow from the recurrence."""
     if N < 0:
         raise OrthopolyError("N must be >= 0")
     if len(F.groups[0]) <= 2 * N:
         raise OrthopolyError(f"need moments to order {2 * N}")
-
-    def inner(p: Poly, q: Poly) -> Fraction:
-        prod = poly_mul(p, q)
-        return sum((c * F.moment(0, k) for k, c in enumerate(prod)), Fraction(0))
-
+    # s_{k,l} for l = k .. 2N-1-k, stored at index l - k; s_{-1,l} = 0
+    before: list[Fraction] = [Fraction(0)] * (2 * N)
+    row: list[Fraction] = [F.moment(0, l) for l in range(2 * N)]
     polys: list[Poly] = [(Fraction(1),)]
     alphas: list[Fraction] = []
     betas: list[Fraction] = []
-    norms: list[Fraction] = [inner(polys[0], polys[0])]
     for k in range(N):
-        pk = polys[k]
-        nk = norms[k]
+        nk = row[0]
         if nk == 0:
             raise DegenerateError(f"Hankel degeneracy at step {k}: <p_k, p_k> = 0")
-        xpk = poly_mul((Fraction(0), Fraction(1)), pk)
-        alpha = inner(xpk, pk) / nk
-        beta = nk / norms[k - 1] if k >= 1 else Fraction(0)
-        nxt = poly_add(xpk, poly_scale(pk, -alpha))
-        if k >= 1:
-            nxt = poly_add(nxt, poly_scale(polys[k - 1], -beta))
+        if k == 0:
+            alpha, beta = row[1] / nk, Fraction(0)
+        else:
+            alpha = row[1] / nk - before[1] / before[0]
+            beta = nk / before[0]
         alphas.append(alpha)
         betas.append(beta)
-        polys.append(nxt)
-        norms.append(inner(nxt, nxt))
+        # row k+1 at l = k+1+t reads row k at l + 1 and l, row k-1 at l (index t + 2)
+        before, row = row, [
+            row[t + 2] - alpha * row[t + 1] - beta * before[t + 2] for t in range(len(row) - 2)
+        ]
+        pk, pprev = polys[k], polys[k - 1] if k else ()
+        nxt = [Fraction(0), *pk]
+        for i, c in enumerate(pk):
+            nxt[i] -= alpha * c
+        for i, c in enumerate(pprev):
+            nxt[i] -= beta * c
+        polys.append(tuple(nxt))
     return {"alphas": tuple(alphas), "betas": tuple(betas), "polys": tuple(polys)}
 
 
@@ -427,11 +487,13 @@ class MultiMomentFunctional:
             return out
 
         groups = [table([list(l.moments) for l in laws])]
+        # the table reads coordinate j to order 2 up_to[j], and order k of a
+        # shift reads only moments <= k, so only those orders are shifted
         for t in shifts:
             per = tuple(t) if isinstance(t, (tuple, list)) else (t,) * len(laws)
-            groups.append(
-                table([_binomial_shift(l.moments, Fraction(ti)) for l, ti in zip(laws, per)])
-            )
+            groups.append(table([
+                _binomial_shift(l.moments[:2 * u + 1], Fraction(ti)) for l, ti, u in zip(laws, per, up_to)
+            ]))
         return MultiMomentFunctional(len(laws), tuple(groups))
 
     def moment(self, j: int, k: tuple[int, ...]) -> Fraction:

@@ -6,7 +6,7 @@ import pytest
 
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
-from homsum.orthopoly import poly_trim
+from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim
 from homsum.partitions import PartitionFilter, SetPartition, enumerate_partitions, interval_partition, moebius_to_top
 
 
@@ -175,3 +175,54 @@ class DiscriminantReferee:
 @pytest.fixture(scope="session")
 def discriminant_referee():
     return DiscriminantReferee
+
+
+def per_column_cofactors(rows):
+    """c_j = (-1)^j det(rows without column j) for an n x (n+1) matrix, one
+    ``exact_det`` per column: the route ``_cofactors`` and ``gops_expectation``
+    took before ``_row_cofactors``, kept as its referee."""
+    return [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in rows]) for j in range(len(rows) + 1)]
+
+
+@pytest.fixture(scope="session")
+def cofactor_referee():
+    return per_column_cofactors
+
+
+def stieltjes_recurrence(func, N):
+    """Monic orthogonal polynomials and their recurrence coefficients by the
+    Stieltjes procedure on exact polynomials: alpha_k = <x p_k, p_k>/<p_k, p_k>
+    and beta_k = <p_k, p_k>/<p_{k-1}, p_{k-1}>, each inner product summed over
+    a polynomial product.  The route ``recurrence_coeffs`` took before the
+    Chebyshev algorithm, kept as its referee."""
+    if N < 0:
+        raise OrthopolyError("N must be >= 0")
+    if len(func.groups[0]) <= 2 * N:
+        raise OrthopolyError(f"need moments to order {2 * N}")
+
+    def inner(p, q):
+        return sum((c * func.moment(0, k) for k, c in enumerate(poly_mul(p, q))), F(0))
+
+    polys, alphas, betas = [(F(1),)], [], []
+    norms = [inner(polys[0], polys[0])]
+    for k in range(N):
+        pk, nk = polys[k], norms[k]
+        if nk == 0:
+            raise DegenerateError(f"Hankel degeneracy at step {k}: <p_k, p_k> = 0")
+        xpk = poly_mul((F(0), F(1)), pk)
+        alpha = inner(xpk, pk) / nk
+        beta = nk / norms[k - 1] if k >= 1 else F(0)
+        nxt = [F(0)] * (k + 2)
+        for c, p in ((1, xpk), (-alpha, pk), (-beta, polys[k - 1] if k >= 1 else ())):
+            for i, x in enumerate(p):
+                nxt[i] += c * x
+        alphas.append(alpha)
+        betas.append(beta)
+        polys.append(poly_trim(nxt))
+        norms.append(inner(nxt, nxt))
+    return {"alphas": tuple(alphas), "betas": tuple(betas), "polys": tuple(polys)}
+
+
+@pytest.fixture(scope="session")
+def recurrence_referee():
+    return stieltjes_recurrence

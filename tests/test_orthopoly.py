@@ -50,6 +50,7 @@ from homsum.orthopoly import (
     translated_moment_poly,
     _perm_sign,
     _pfaffian,
+    _row_cofactors,
 )
 
 G = MomentFunctional.from_law(gaussian(1, 14))
@@ -210,7 +211,8 @@ def test_expectation_guard_refuses_before_any_determinant(monkeypatch):
         raise AssertionError("determinant work before the guard")
 
     monkeypatch.setattr(O, "exact_det", no_det)
-    # 7! * 8 = 40320 determinants
+    monkeypatch.setattr(O, "_row_cofactors", no_det)
+    # 7! * 8 = 40320 determinants, counted as before although the route takes 7! eliminations
     with pytest.raises(OrthopolyError, match="guard"):
         gops_expectation(G, 7, 1)
 
@@ -299,6 +301,79 @@ def test_recurrences():
             assert val == 0
     with pytest.raises(DegenerateError):
         recurrence_coeffs(MomentFunctional.from_law(rademacher(14)), 4)
+
+
+@st.composite
+def cofactor_matrices(draw):
+    """n x (n+1) Fraction matrices, n = 1..7, with zero and negative entries,
+    and sometimes a duplicated row (rank n - 1), two dependent row pairs (rank
+    below n - 1) or a zero first column."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+    rows = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(n)]
+    shape = draw(st.sampled_from(["generic", "duplicate", "two_pairs", "zero_column"]))
+    rnd = draw(st.randoms(use_true_random=False))
+    if shape == "duplicate" and n >= 2:
+        i, j = rnd.sample(range(n), 2)
+        rows[j] = list(rows[i])
+    elif shape == "two_pairs" and n >= 4:
+        a, b, c, d = rnd.sample(range(n), 4)
+        rows[b] = [-x for x in rows[a]]
+        rows[d] = [F(2, 3) * x for x in rows[c]]
+    elif shape == "zero_column":
+        for row in rows:
+            row[0] = F(0)
+    return rows
+
+
+@given(cofactor_matrices())
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([[F(0), F(0)]])
+@example([[F(1), F(2), F(3)], [F(2), F(4), F(6)]])
+@example([[F(0), F(1), F(2)], [F(0), F(3), F(-1)]])
+def test_row_cofactors_equal_the_per_column_determinants(cofactor_referee, rows):
+    assert _row_cofactors(rows) == cofactor_referee(rows)
+
+
+def test_route_ratio_at_n6():
+    assert gops_route_ratio(G, 6, 1) == 720
+
+
+def three_atom_law():
+    """Moments to order 30 of the law with atoms -1, 0, 2 and weights 1/4,
+    1/2, 1/4: <p_3, p_3> = 0, so the recurrence stops at step 3."""
+    atoms = ((F(-1), F(1, 4)), (F(0), F(1, 2)), (F(2), F(1, 4)))
+    return MomentFunctional((tuple(sum(w * x**k for x, w in atoms) for k in range(31)),))
+
+
+def recurrence_or_error(route, func, N):
+    try:
+        return route(func, N)
+    except DegenerateError as exc:
+        return str(exc)
+
+
+def test_recurrence_equals_the_stieltjes_referee_on_every_builtin_law(recurrence_referee):
+    params = {"gamma_f": {"nu": F(3)}}
+    for name in builtin_law_names():
+        Fm = MomentFunctional.from_law(builtin_law(name, 30, **params.get(name, {})))
+        for N in range(16):
+            got = recurrence_or_error(recurrence_coeffs, Fm, N)
+            assert got == recurrence_or_error(recurrence_referee, Fm, N), (name, N)
+            if isinstance(got, dict):
+                assert all(type(c) is F for p in got["polys"] for c in p)
+
+
+def test_recurrence_degenerates_at_the_referee_step(recurrence_referee):
+    rad, atoms3 = MomentFunctional.from_law(rademacher(30)), three_atom_law()
+    want = {(rad, 3): 2, (atoms3, 4): 3}
+    for (Fm, N), step in want.items():
+        for route in (recurrence_coeffs, recurrence_referee):
+            with pytest.raises(DegenerateError, match=rf"^Hankel degeneracy at step {step}: <p_k, p_k> = 0$"):
+                route(Fm, N)
+    # three atoms carry a full recurrence to N = 3
+    assert recurrence_coeffs(atoms3, 3) == recurrence_referee(atoms3, 3)
 
 
 def test_recurrence_reproduces_determinant_up_to_normalization():
