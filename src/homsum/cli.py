@@ -431,20 +431,32 @@ def cmd_simulate_levy(args, cap):
 
 
 def cmd_kstat(args, cap):
+    from . import laws as L
     from . import stochsim as S
 
+    # kappa(j): the j-th cumulant of the measure per unit of nu
     if args.measure == "gaussian":
         for flag in ("rate", "jumps"):
             if getattr(args, flag) is not None:
                 raise CliValidationError(flag, f"--{flag} applies to --measure compound_poisson only", flag)
         cell = S.gaussian_cell_sampler
-        target = args.horizon if args.order == 2 else 0.0
+        kappa = lambda j: Fraction(int(j == 2))
     else:  # compound_poisson
         rate = 2.0 if args.rate is None else _finite(args.rate, "rate", nonnegative=True)
         jump = S.Sampler("rademacher" if args.jumps is None else args.jumps, seed=args.seed)
         cell = S.compound_poisson_cell_sampler(rate, jump.draw_from)
-        target = args.horizon * rate * float(jump.law_spec(max(8, 2 * args.order)).moment(args.order))
-    return S.kstat_experiment(cell, target, args.order, args.refinement, args.paths, args.horizon, args.seed)
+        jumps = jump.law_spec(max(8, 2 * args.order))
+        kappa = lambda j: Fraction(rate) * jumps.moment(j)
+    n, N = args.order, args.refinement
+    target = limit = math.nan  # kstat_experiment refuses these inputs
+    if n >= 1 and N >= 1 and math.isfinite(args.horizon):
+        # a cell A has cumulants nu(A) kappa(j), so E[sum_i Phi(A_i)^n] is
+        # N m_n(A), which tends to the limit T kappa(n) as N grows
+        cell_measure = Fraction(args.horizon) / N
+        m = L.convert([0] + [cell_measure * kappa(j) for j in range(1, n + 1)], "cumulants_to_moments", "classical")
+        target, limit = float(N * m[n]), float(Fraction(args.horizon) * kappa(n))
+    rep = S.kstat_experiment(cell, target, n, N, args.paths, args.horizon, args.seed)
+    return {**rep, "limit": limit}
 
 
 HANDLERS = {

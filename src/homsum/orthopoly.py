@@ -2,15 +2,15 @@
 moments and Sylvester power-sum decompositions.
 
 Polynomials are coefficient tuples of Fractions, lowest degree first.
-Determinants stay exact (fraction-free Bareiss on a cleared-denominator
-integer core); roots are extracted in float via the companion matrix, and
-everything past root extraction is float with verified residuals.
+Determinants and recurrence coefficients stay exact; Gauss rules come from
+the eigenvectors of the Jacobi matrix, and everything past that step is
+float with verified residuals.
 
-numpy is imported inside the four routines that compute in floating point:
-``poly_roots``, ``_gauss_nodes_weights``, the real-node branch of
-``quadrature_rule`` and ``sylvester_decompose``.  Importing this module and
-every exact route (determinants, GOPs, recurrences, the discriminant by
-expansion or closed form) leave numpy unloaded.
+numpy is imported inside the three routines that compute in floating point:
+``poly_roots``, ``_gauss_nodes_weights`` and ``sylvester_decompose``.
+Importing this module and every exact route (determinants, GOPs,
+recurrences, the discriminant by expansion or closed form) leave numpy
+unloaded.
 """
 
 from __future__ import annotations
@@ -594,24 +594,30 @@ class QuadratureRule:
 
 
 def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ...], np.ndarray]:
-    """Roots of the degree-n monic orthogonal polynomial and the weights that
-    solve the first n Vandermonde moment equations on them."""
+    """Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix, alpha_k on the diagonal and sqrt(beta_k) beside it,
+    and an eigenvector v gives the weight m_0 v_0^2 / (v^T v), m_0 = 1.  All
+    beta_k > 0 make it real symmetric (``eigh``); a quasi-definite functional
+    makes it complex symmetric (``eig``, v^T v without conjugation)."""
     import numpy as np
 
-    pn = recurrence_coeffs(F, n)["polys"][n]
-    rt = poly_roots(pn)
-    if not rt["all_simple"]:
-        raise DegenerateError("p_n has (numerically) multiple roots; no Gauss rule")
-    nodes = rt["roots"]
-    V = np.array([[node**k for node in nodes] for k in range(n)], dtype=complex)
-    b = np.array([float(F.moment(0, k)) for k in range(n)], dtype=complex)
-    return nodes, np.linalg.solve(V, b)
+    rec = recurrence_coeffs(F, n)
+    betas = [float(b) for b in rec["betas"][1:]]
+    definite = all(b > 0 for b in betas)
+    off = np.sqrt(np.array(betas, dtype=float if definite else complex))
+    J = np.diag([float(a) for a in rec["alphas"]]) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, V = np.linalg.eigh(J) if definite else np.linalg.eig(J)
+    order = np.lexsort((nodes.imag, nodes.real))
+    nodes, V = tuple(complex(z) for z in nodes[order]), V[:, order]
+    if any(abs(a - b) <= ROOT_TOL for a, b in itertools.combinations(nodes, 2)):
+        raise DegenerateError("the Jacobi matrix has (numerically) repeated eigenvalues; no Gauss rule")
+    return nodes, (V[0] ** 2 / (V * V).sum(axis=0)).astype(complex)
 
 
 def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) -> QuadratureRule:
-    """Gauss rule with n nodes: nodes are the roots of the degree-n monic
-    orthogonal polynomial, weights solve the first n Vandermonde moment
-    equations, and exactness is verified through degree 2n - 1."""
+    """Gauss rule with n nodes (``_gauss_nodes_weights``): the zeros of the
+    degree-n monic orthogonal polynomial with their Christoffel numbers,
+    verified exact through degree 2n - 1."""
     if n < 1:
         raise OrthopolyError("n must be >= 1")
     if not (math.isfinite(tol) and tol >= 0):
@@ -629,48 +635,13 @@ def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) ->
         )
     kind = "real-simple" if all(abs(z.imag) < ROOT_TOL for z in nodes) else "complex"
     if kind == "real-simple":
-        import numpy as np
-
         nodes = tuple(complex(z.real, 0.0) for z in nodes)
-        weights = np.real(weights).astype(complex)
+        weights = weights.real.astype(complex)
     return QuadratureRule(tuple(nodes), tuple(weights), 2 * n - 1, kind, max_resid)
-
-
-def quadrature_apply(
-    rule: QuadratureRule,
-    P: Callable[..., complex],
-    N: int,
-    per_variable_degree: int,
-) -> complex:
-    """Tensorized Gauss rule: sum over node tuples of prod(weights) * P(nodes).
-    Exact for polynomials of per-variable degree <= 2n - 1."""
-    if per_variable_degree > rule.exactness_degree:
-        raise OrthopolyError(
-            f"per-variable degree {per_variable_degree} exceeds rule exactness "
-            f"{rule.exactness_degree}"
-        )
-    total = 0j
-    for combo in itertools.product(range(rule.n), repeat=N):
-        w = 1.0 + 0j
-        for i in combo:
-            w *= rule.weights[i]
-        total += w * P(*(rule.nodes[i] for i in combo))
-    return total
 
 
 # ---------------------------------------------------------------------------
 # random discriminants
-
-
-def _vandermonde_callable(N: int, power: int) -> Callable[..., complex]:
-    def P(*xs):
-        acc = 1.0 + 0j
-        for i in range(N):
-            for j in range(i + 1, N):
-                acc *= xs[j] - xs[i]
-        return acc**power
-
-    return P
 
 
 def _vandermonde_expectation(F: MomentFunctional, n: int, k: int, p: int) -> Poly:
@@ -726,10 +697,13 @@ def discriminant_moment(
       A_ij = (j - i) m_{i+j-1}, i, j = 0..2N-1;
     - k >= 3: no determinant form exists, so the Vandermonde power is
       expanded into monomials and factorized by independence.
-    method='quadrature': tensorized Gauss rule with n = k(N-1)+1 nodes
-    (2k(N-1) <= 2n-1).  method='lu_gaussian': the Gaussian closed form
-    sigma^(N(N-1)k) prod_j j^(jk) prod_{i<j} Gamma(k + i/j)/Gamma(i/j), exact
-    for integer k; sigma^2 defaults to the functional's second moment.
+    method='quadrature': the tensorized Gauss rule with n = k(N-1)+1 nodes
+    (2k(N-1) <= 2n-1).  Delta^(2k) is symmetric and vanishes on a repeated
+    node, so its sum over the n^N node tuples is N! times the sum of
+    prod_i w_i Delta^(2k) over the C(n, N) sets of distinct nodes.
+    method='lu_gaussian': the Gaussian closed form sigma^(N(N-1)k)
+    prod_j j^(jk) prod_{i<j} Gamma(k + i/j)/Gamma(i/j), exact for integer k;
+    sigma^2 defaults to the functional's second moment.
     """
     if N < 1 or k < 1:
         raise OrthopolyError("need N >= 1 and k >= 1")
@@ -743,9 +717,13 @@ def discriminant_moment(
             return math.factorial(N) * _pfaffian(a)
         return _vandermonde_expectation(F, N, k, 0)[0]
     if method == "quadrature":
-        n = k * (N - 1) + 1
-        rule = quadrature_rule(F, n)
-        val = quadrature_apply(rule, _vandermonde_callable(N, 2 * k), N, 2 * k * (N - 1))
+        rule = quadrature_rule(F, k * (N - 1) + 1)
+        x, w = rule.nodes, rule.weights
+        val = math.factorial(N) * sum(
+            math.prod(w[i] for i in S)
+            * math.prod(x[j] - x[i] for i, j in itertools.combinations(S, 2)) ** (2 * k)
+            for S in itertools.combinations(range(rule.n), N)
+        )
         return val.real if abs(val.imag) < QUADRATURE_TOL * max(1.0, abs(val)) else val
     if method == "lu_gaussian":
         s2 = Fraction(sigma2) if sigma2 is not None else F.moment(0, 2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 from functools import lru_cache
@@ -6,7 +7,7 @@ import pytest
 
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
-from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim
+from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim, quadrature_rule
 from homsum.partitions import PartitionFilter, SetPartition, enumerate_partitions, interval_partition, moebius_to_top
 
 
@@ -175,6 +176,29 @@ class DiscriminantReferee:
 @pytest.fixture(scope="session")
 def discriminant_referee():
     return DiscriminantReferee
+
+
+def tensor_rule_discriminant(func, N, k):
+    """E[Delta(X_1..X_N)^(2k)] by the tensorized Gauss rule with n = k(N-1)+1
+    nodes: prod_i w_i Delta(x_1..x_N)^(2k) summed over all n^N node tuples,
+    repeated nodes included.  The route ``discriminant_moment(...,
+    "quadrature")`` took before the sum over sets of distinct nodes, kept as
+    its referee."""
+    rule = quadrature_rule(func, k * (N - 1) + 1)
+    total = 0j
+    for combo in itertools.product(range(rule.n), repeat=N):
+        w = delta = 1.0 + 0j
+        for i in combo:
+            w *= rule.weights[i]
+        for i, j in itertools.combinations(combo, 2):
+            delta *= rule.nodes[j] - rule.nodes[i]
+        total += w * delta ** (2 * k)
+    return total
+
+
+@pytest.fixture(scope="session")
+def tensor_rule_referee():
+    return tensor_rule_discriminant
 
 
 def per_column_cofactors(rows):

@@ -271,6 +271,22 @@ def test_kstat_compound_poisson_defaults(tmp_path, capsys):
     assert "(default 2.0)" in text and "(default rademacher)" in text
 
 
+def test_kstat_targets_the_finite_refinement_expectation(tmp_path):
+    # E[sum_i Phi(A_i)^4] over N = 100 Brownian cells is N 3 (T/N)^2 = 0.03,
+    # while the limit cumulant kappa_4 is 0; against 0 this run gives z = 138
+    code, payload = run_json(["kstat", "--measure", "gaussian", "--order", "4", "--paths", "2000"], tmp_path)
+    rep = payload["result"]
+    assert code == 0 and rep["within_5se"] is True
+    assert rep["target"] == pytest.approx(0.03, rel=1e-12) and rep["limit"] == 0.0
+    # compound Poisson, rate 2, Rademacher jumps: N m_4(cell) = 2 + 3 * 2^2 / N
+    code, payload = run_json(
+        ["kstat", "--measure", "compound_poisson", "--order", "4", "--paths", "2000", "--seed", "1"], tmp_path
+    )
+    rep = payload["result"]
+    assert code == 0 and rep["within_5se"] is True
+    assert rep["target"] == pytest.approx(2.12, rel=1e-12) and rep["limit"] == 2.0
+
+
 def test_simulation_subcommands(tmp_path):
     code, payload = run_json(
         ["simulate-invariance", "--sizes", "4,8", "--trials", "2000", "--seed", "5"],
@@ -420,7 +436,7 @@ CLI_GOLDEN = [
     (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"],
      "dadf60a69f217f6b414a15ec0129f6bcc9db44804a24ae7c5ca37809016da1c0", 315),
     (["quadrature", "--law", "gaussian", "--n", "4"],
-     "7aa85fa8e0e0928958ecf919ff2f7382c527bceb8f35c520b1f5ac7edd4a4937", 872),
+     "fcd5a19c0e60e6f9f1adbe79af995eaf102574da4994488dd5ddaa45d60bce1e", 872),
 ]
 
 

@@ -43,7 +43,6 @@ from homsum.orthopoly import (
     poly_mul,
     poly_roots,
     poly_trim,
-    quadrature_apply,
     quadrature_rule,
     recurrence_coeffs,
     sylvester_decompose,
@@ -430,15 +429,37 @@ def test_quadrature_weight_translation_invariance():
             assert all(abs(a - b) < 1e-9 for a, b in zip(w0, ws))
 
 
-def test_quadrature_apply():
-    rule2 = quadrature_rule(G, 2)
-    assert abs(quadrature_apply(rule2, lambda a, b: (b - a) ** 2, 2, 2).real - 2) < 1e-12
-    # centered law: E[x1 x2] = a1^2 = 0
-    assert abs(quadrature_apply(rule2, lambda a, b: a * b, 2, 1).real) < 1e-12
-    rule5 = quadrature_rule(G, 5)
-    assert abs(quadrature_apply(rule5, lambda a, b: (b - a) ** 4, 2, 4).real - 12) < 1e-9
-    with pytest.raises(OrthopolyError):
-        quadrature_apply(rule2, lambda a, b: a**4 * b, 2, 4)
+# quadrature_rule passes its exactness check at every n up to these
+QUADRATURE_REACH = [
+    (centered_poisson(1, 30), 15),
+    (gamma_f(F(3, 2), 30), 15),
+    (uniform_centered(30), 15),
+    (semicircle(1, 30), 12),
+    (gaussian(1, 30), 8),
+]
+
+
+@pytest.mark.parametrize("law, reach", QUADRATURE_REACH, ids=lambda v: getattr(v, "name", str(v)))
+def test_quadrature_rule_reach(law, reach):
+    Fm = MomentFunctional.from_law(law)
+    for n in range(1, reach + 1):
+        assert quadrature_rule(Fm, n).node_kind == "real-simple", (law.name, n)
+
+
+def test_quadrature_rule_with_complex_nodes():
+    # m_{2j} (-1)^j from the standard Gaussian: the moments of iZ, a
+    # quasi-definite functional with beta_k = -k.  Its Gauss rule has the
+    # nodes i x_j and the weights of the Gauss-Hermite rule.
+    ms = MomentFunctional.from_law(gaussian(1, 14)).groups[0]
+    Fm = MomentFunctional((tuple(m * (-1) ** (j // 2) for j, m in enumerate(ms)),))
+    for n in range(2, 8):
+        rule = quadrature_rule(Fm, n)
+        assert rule.node_kind == "complex"
+        x, w = np.polynomial.hermite_e.hermegauss(n)
+        w = w / math.sqrt(2 * math.pi)
+        got = sorted(zip(rule.nodes, rule.weights), key=lambda nw: nw[0].imag)
+        for (z, wz), xj, wj in zip(got, x, w):
+            assert abs(z - 1j * xj) < 1e-12 and abs(wz - wj) < 1e-12, (n, z, wz)
 
 
 def test_discriminant_moment_three_routes():
@@ -465,6 +486,32 @@ def builtin_functionals(max_order):
         MomentFunctional.from_law(builtin_law(name, max_order, **BUILTIN_PARAMS.get(name, {})))
         for name in builtin_law_names()
     ]
+
+
+@pytest.mark.parametrize("law", [gaussian(1, 14), uniform_centered(14), centered_poisson(1, 14)], ids=lambda l: l.name)
+def test_discriminant_quadrature_equals_the_tensor_rule(law, tensor_rule_referee):
+    Fm = MomentFunctional.from_law(law)
+    for N in range(1, 5):
+        for k in (1, 2):
+            want = tensor_rule_referee(Fm, N, k)
+            assert abs(discriminant_moment(Fm, N, k, "quadrature") - want) <= 1e-12 * abs(want), (N, k)
+
+
+def test_discriminant_quadrature_equals_the_exact_routes():
+    # wherever the Gauss rule with k(N-1)+1 nodes passes its check
+    reached = set()
+    for Fm in builtin_functionals(30):
+        for N in range(1, 9):
+            for k in (1, 2):
+                try:
+                    quadrature_rule(Fm, k * (N - 1) + 1)
+                except OrthopolyError:
+                    continue
+                want = float(discriminant_moment(Fm, N, k, "expansion"))
+                got = discriminant_moment(Fm, N, k, "quadrature")
+                assert abs(got - want) <= 1e-12 * abs(want), (Fm, N, k, got, want)
+                reached.add((N, k))
+    assert (8, 2) in reached
 
 
 def test_discriminant_determinant_forms_equal_the_monomial_expansion(discriminant_referee):
@@ -627,6 +674,21 @@ def test_sylvester_target_is_the_expansion_moment(discriminant_referee):
         for n, k in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
             dec = sylvester_decompose(Fm, n, k, mode="discriminant")
             assert dec.target == discriminant_referee.moment(Fm, n, k), (Fm, n, k)
+
+
+# the appel decomposition is consistent at every n up to these (n <= 10)
+APPEL_CONSISTENT_TO = {
+    "centered_poisson": 6, "free_poisson_centered": 9, "free_rademacher": 2, "gamma_f": 4,
+    "gaussian": 8, "rademacher": 2, "semicircle": 10, "tetilla": 10, "uniform_centered": 10,
+}
+
+
+@pytest.mark.parametrize("name", builtin_law_names())
+def test_sylvester_appel_stays_consistent(name):
+    law = builtin_law(name, 30, **({"nu": F(3, 2)} if name == "gamma_f" else {}))
+    Fm = MomentFunctional.from_law(law)
+    for n in range(1, APPEL_CONSISTENT_TO[name] + 1):
+        assert sylvester_decompose(Fm, n, mode="appel").consistent, (name, n)
 
 
 @pytest.mark.parametrize("k", [0, 2, 3])
