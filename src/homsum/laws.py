@@ -213,19 +213,15 @@ def centered_poisson(lam=1, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
 def gamma_f(nu, max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:
     """The law of F(nu) = 2 G(nu/2) - nu with G(a) ~ Gamma(a, 1).
 
-    Orders 1..4 agree with the stated values (0, 2 nu, 8 nu, 12 nu^2 + 48 nu);
-    beyond order 4 the moments rest on the Gamma product-moment formula
-    E[G(a)^k] = a (a+1) ... (a+k-1), not on a bespoke identity.
+    The cumulants are closed form: G(a) has kappa_k = a (k-1)!, so F has
+    kappa_1 = 0 and kappa_k = 2^(k-1) (k-1)! nu for k >= 2; orders 1..4 of
+    the moments are (0, 2 nu, 8 nu, 12 nu^2 + 48 nu).
     """
     nu = Fraction(nu)
     if nu <= 0:
         raise LawError("nu must be > 0")
-    # E[(2G)^k] = 2^k a (a+1) ... (a+k-1) with a = nu/2; F is 2G shifted by -nu
-    moms = [Fraction(1)]
-    for k in range(1, max_order + 1):
-        moms.append(moms[-1] * (nu + 2 * k - 2))
-    moms = _binomial_shift(moms, -nu)
-    return _law_from_moments("gamma_f", "classical", moms)
+    cums = [Fraction(0), Fraction(0)] + [2 ** (k - 1) * math.factorial(k - 1) * nu for k in range(2, max_order + 1)]
+    return _law_from_cumulants("gamma_f", "classical", cums, max_order)
 
 
 def rademacher(max_order: int = DEFAULT_MAX_ORDER) -> LawSpec:

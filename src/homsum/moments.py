@@ -11,10 +11,10 @@ Two independent routes compute every moment:
 
 One primitive, :func:`_block_sum`, evaluates the index sum of a single
 lattice partition: over every map from its blocks to [n], the product of the
-factors' kernel entries times per-block weights.  Its two callers are
-:func:`joint_moment` (weights: each index's cumulant of the block's size)
-and the pairings of :func:`wick_moment` (unit weights).  The oracle never
-uses it.
+factors' kernel entries times per-block weights.  Its two callers sum the
+same cached orbits: :func:`joint_moment` (weights: each index's cumulant of
+the block's size) and :func:`wick_moment` (weights: the diagram formula's
+joint cumulant of the block's lifted polynomials).  The oracle never uses it.
 
 The primitive works on integers.  Once per call, each caller scales every
 kernel and every cumulant row to integers over its own common denominator
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,12 +47,13 @@ from typing import Mapping, Optional, Sequence
 
 from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
 from .kernels import LiftedKernel, _integer_scaled, _on_orbits, _orbit_size, _orbits
-from .laws import LawSpec, gaussian, semicircle
+from .laws import LawSpec, gaussian, multivariate_cumulant, semicircle
 from .partitions import (
     DEFAULT_SIZE_CAP,
     PartitionFilter,
     _factor_layout,
     _union_classes,
+    count_partitions,
     enumerate_partitions,
     respectful_pairings,
 )
@@ -218,7 +218,8 @@ def _block_sum(
     by their least position, the first factor's blocks come first.  A block's
     weight is multiplied in when the block is assigned, and a factor's entry
     as soon as its last block is, so a missing entry cuts off the whole
-    subtree below it.  Zero weights are simply left out of ``choices``.
+    subtree below it.  Zero weights are simply left out of ``choices``.  A
+    factor whose last block holds two of its positions raises ValueError.
     """
     block_of = {}
     for bi, b in enumerate(blocks):
@@ -232,17 +233,9 @@ def _block_sum(
         slots = [block_of[q] for q in range(p, p + d)]
         p += d
         k = max(slots)
-        j = slots.index(k)
         if slots.count(k) > 1:
-            # block k recurs in this factor: keep the entries constant on its
-            # positions, keyed by the first of them only
-            again = [x for x in range(j + 1, d) if slots[x] == k]
-            table = {
-                tuple(key[x] for x in range(d) if x not in again): v
-                for key, v in table.items()
-                if all(key[x] == key[j] for x in again)
-            }
-            slots = [slots[x] for x in range(d) if x not in again]
+            raise ValueError("a factor's last block holds two of its positions")
+        j = slots.index(k)
         due[k].append((table, slots[:j], slots[j + 1:]))
     last = len(blocks) - 1
     assign = [0] * len(blocks)
@@ -298,18 +291,11 @@ def joint_moment(
 
     degrees = [kernels[s].d for s in word]
     D = sum(degrees)
+    scalar = math.prod((kernels[s](()) for s, deg in zip(word, degrees) if deg == 0), start=Fraction(1))
     if D == 0:
-        out = Fraction(1)
-        for s in word:
-            out *= kernels[s](())
-        return out
+        return scalar
     if D > cap:
         raise FeasibilityError(f"total degree {D} exceeds the partition cap {cap}")
-
-    scalar = Fraction(1)
-    for s, deg in zip(word, degrees):
-        if deg == 0:
-            scalar *= kernels[s](())
     if scalar == 0:
         return Fraction(0)
 
@@ -434,34 +420,33 @@ def moment_oracle(spec: SumSpec, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _wick_classes(
-    orders: tuple[int, ...], m: int, noncrossing: bool, cap: int
-) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-    """The classes of base arguments that the (non-crossing) respectful
-    pairings of m copies of a lift with ``orders`` force equal, each with
-    the number of pairings forcing it.  Base argument t of copy c is
-    c * len(orders) + t + 1."""
-    # slots are laid out copy by copy, base argument by base argument, so the
-    # slot group of a slot is the position of its base argument
-    star = _factor_layout(orders * m)
-    arg_of = star.block_of
-    filt = PartitionFilter(noncrossing=noncrossing, allowed_block_sizes=frozenset({2}), respects=star)
-    counts: Counter = Counter()
-    # the pairings are walked, not cached: only their class counts are kept
-    for pairing in enumerate_partitions(star.n, filt, cap):
-        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
-        counts[tuple(map(tuple, _union_classes(m * len(orders), links)))] += 1
-    return tuple(counts.items())
+def _diagram_row(orders: tuple[int, ...], free: bool, n: int) -> tuple[tuple[int, int], ...]:
+    """A :func:`wick_moment` block's weight row over [n], empty for a zero
+    weight.  The weight is the joint (free, in this order) cumulant of
+    P_{h_1}(X), ..., P_{h_k}(X), h = ``orders``, Hermite polynomials of a
+    standard Gaussian or Chebyshev ones of a standard semicircular X: the
+    integer count of their connected diagrams, solved from the respectful
+    pairing counts."""
+
+    def moment(block: tuple[int, ...]) -> Fraction:
+        hs = [orders[j - 1] for j in block]
+        filt = PartitionFilter(noncrossing=free, allowed_block_sizes={2}, respects=_factor_layout(hs))
+        return Fraction(count_partitions(sum(hs), filt, sum(hs)))
+
+    w = int(multivariate_cumulant(moment, len(orders), "free" if free else "classical", len(orders)))
+    return tuple((i, w) for i in range(1, n + 1)) if w else ()
 
 
 def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP) -> Fraction:
     """m-th moment of the Gaussian (mode='classical') or semicircular
-    (mode='free') functional attached to the lifted kernel.
+    (mode='free') functional attached to the lifted kernel: of the Hermite
+    sum sum_i f(i) prod_t He_{h_t}(N_{i_t}), or of the Chebyshev sum over a
+    free semicircular family.
 
-    The sum runs over (non-crossing) pairings of the m * sum(orders) slots
-    that respect the per-factor slot groups; each pairing contracts basis
-    indices by orthonormality, i.e. forces the paired base arguments equal.
-    Realizes moments of Hermite sums and Chebyshev sums of the base kernel.
+    By the diagram formula (Peccati & Taqqu 2011; Kemp, Nourdin, Peccati &
+    Speicher 2012) it is the lattice sum of :func:`joint_moment` for m
+    copies of the base kernel, which must vanish on diagonals, with the
+    weights of :func:`_diagram_row` in place of a law's cumulants.
     """
     if mode not in ("classical", "free"):
         raise ValueError("mode must be 'classical' or 'free'")
@@ -472,6 +457,8 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     f = lk.base
     if f.mode != "exact":
         raise ValueError("exact moments require exact-mode kernels")
+    if not f.vanishes_on_diagonals:
+        raise ValueError("Wick moments require a diagonal-vanishing base kernel")
     M = lk.total_degree
     D = m * M
     if D == 0:
@@ -481,12 +468,16 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     if D > cap:
         raise FeasibilityError(f"lifted degree {D} exceeds the partition cap {cap}")
 
+    free = mode == "free"
     table, den = _integer_scaled(f.values)
-    units = [(i, 1) for i in range(1, f.n + 1)]
-    total = sum(
-        c * _block_sum((table,) * m, (f.d,) * m, classes, [units] * len(classes))
-        for classes, c in _wick_classes(lk.orders, m, mode == "free", cap)
-    )
+    orders = lk.orders * m  # the lift order at each position
+    total = 0
+    for blocks, mult in _respectful_blocks((0,) * m, (f.d,) * m, free, frozenset(range(2, m + 1)), cap):
+        # a block's signature: its positions' orders, sorted for the classical kind
+        sigs = (tuple(orders[p - 1] for p in b) for b in blocks)
+        choices = [_diagram_row(s if free else tuple(sorted(s)), free, f.n) for s in sigs]
+        if all(choices):
+            total += mult * _block_sum((table,) * m, (f.d,) * m, blocks, choices)
     return Fraction(total, den**m)
 
 

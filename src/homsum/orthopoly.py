@@ -563,8 +563,14 @@ def multi_orthogonality_check(
 # roots and quadrature
 
 
+def _node_key(z: complex) -> tuple[float, float]:
+    """Roots and Gauss nodes sort by (Re, Im), a real part of rounding size
+    (within ROOT_TOL * max(1, |z|) of zero) counting as 0."""
+    return (0.0 if abs(z.real) <= ROOT_TOL * max(1.0, abs(z)) else z.real), z.imag
+
+
 def poly_roots(p: Sequence[Fraction]) -> dict:
-    """Roots via the (balanced) companion matrix, ordered by (Re, Im);
+    """Roots via the (balanced) companion matrix, ordered by ``_node_key``;
     simplicity means pairwise distance > ROOT_TOL."""
     import numpy as np
 
@@ -573,7 +579,7 @@ def poly_roots(p: Sequence[Fraction]) -> dict:
         raise OrthopolyError("degree must be >= 1")
     arr = np.array([float(c) for c in reversed(p)], dtype=float)
     roots = np.roots(arr)
-    roots = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+    roots = sorted((complex(r) for r in roots), key=_node_key)
     simple = all(
         abs(a - b) > ROOT_TOL for a, b in itertools.combinations(roots, 2)
     )
@@ -607,7 +613,7 @@ def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ..
     off = np.sqrt(np.array(betas, dtype=float if definite else complex))
     J = np.diag([float(a) for a in rec["alphas"]]) + np.diag(off, 1) + np.diag(off, -1)
     nodes, V = np.linalg.eigh(J) if definite else np.linalg.eig(J)
-    order = np.lexsort((nodes.imag, nodes.real))
+    order = sorted(range(n), key=lambda j: _node_key(complex(nodes[j])))
     nodes, V = tuple(complex(z) for z in nodes[order]), V[:, order]
     if any(abs(a - b) <= ROOT_TOL for a, b in itertools.combinations(nodes, 2)):
         raise DegenerateError("the Jacobi matrix has (numerically) repeated eigenvalues; no Gauss rule")

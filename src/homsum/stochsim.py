@@ -140,14 +140,8 @@ class Sampler:
 
     def law_spec(self, max_order: int = 10) -> LawSpec:
         """Exact moment sequence matching the sampled law."""
-        if self.law == "gaussian":
-            return builtin_law("gaussian", max_order, sigma2=Fraction(str(self.params.get("sigma2", 1))))
-        if self.law == "rademacher":
-            return builtin_law("rademacher", max_order)
-        if self.law == "centered_poisson":
-            return builtin_law("centered_poisson", max_order, lam=Fraction(str(self.params.get("lam", 1))))
-        if self.law == "uniform_centered":
-            return builtin_law("uniform_centered", max_order)
+        if self.law != "discrete":
+            return builtin_law(self.law, max_order, **{k: Fraction(str(v)) for k, v in self.params.items()})
         values = [Fraction(str(v)) for v in self.params["values"]]
         probs = [Fraction(str(p)) for p in self.params["probs"]]
         if sum(probs) != 1:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -8,7 +9,15 @@ import pytest
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
 from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim, quadrature_rule
-from homsum.partitions import PartitionFilter, SetPartition, enumerate_partitions, interval_partition, moebius_to_top
+from homsum.partitions import (
+    PartitionFilter,
+    SetPartition,
+    _factor_layout,
+    _union_classes,
+    enumerate_partitions,
+    interval_partition,
+    moebius_to_top,
+)
 
 
 def per_class_enumeration(k):
@@ -36,6 +45,49 @@ def per_class_enumeration(k):
 @pytest.fixture
 def fourth_class_referee():
     return per_class_enumeration
+
+
+def wick_by_pairings(lk, m, mode):
+    """m-th Wick moment of a lifted kernel by the slot pairings.
+
+    Walks every (non-crossing, for mode='free') pairing of the m * sum(orders)
+    slots that pairs no two slots of one base argument, joins the paired
+    base arguments into classes and counts the pairings per class.  Each
+    class is then evaluated by a plain sum, over every map from its classes
+    to [n], of the product of the m copies' entries.  The route
+    ``wick_moment`` took before the lattice orbits and diagram weights, kept
+    as its referee.
+    """
+    f, d, n = lk.base, lk.base.d, lk.base.n
+    if m == 0:
+        return F(1)
+    if d == 0:
+        return f(()) ** m
+    # slots are laid out copy by copy, base argument by base argument
+    star = _factor_layout(lk.orders * m)
+    filt = PartitionFilter(noncrossing=(mode == "free"), allowed_block_sizes={2}, respects=star)
+    arg_of = star.block_of
+    counts = Counter()
+    for pairing in enumerate_partitions(star.n, filt):
+        links = ((arg_of[u] + 1, arg_of[v] + 1) for u, v in pairing)
+        counts[tuple(map(tuple, _union_classes(m * d, links)))] += 1
+    total = F(0)
+    for classes, count in counts.items():
+        class_of = {a: c for c, args in enumerate(classes) for a in args}
+        keys = [[class_of[copy * d + t + 1] for t in range(d)] for copy in range(m)]
+        for idx in itertools.product(range(1, n + 1), repeat=len(classes)):
+            term = F(count)
+            for key in keys:
+                term *= f(tuple(idx[c] for c in key))
+                if not term:
+                    break
+            total += term
+    return total
+
+
+@pytest.fixture(scope="session")
+def wick_pairing_referee():
+    return wick_by_pairings
 
 
 def class_sum_convert(seq, direction, kind):

@@ -92,6 +92,21 @@ def test_gamma_f_low_moments():
     assert gf.moment(4) == 12 * 25 + 48 * 5
 
 
+def test_gamma_f_equals_the_product_moment_route():
+    # referee: E[(2G)^k] = 2^k a (a+1) ... (a+k-1) with a = nu/2, shifted
+    # binomially by -nu, then converted to cumulants
+    for nu in (F(1), F(3, 2), F(2, 3), F(5)):
+        moms = [F(1)]
+        for k in range(1, 31):
+            moms.append(moms[-1] * (nu + 2 * k - 2))
+        moms = [sum(math.comb(k, j) * moms[j] * (-nu) ** (k - j) for j in range(k + 1)) for k in range(31)]
+        cums = convert(moms, "moments_to_cumulants", "classical")
+        for order in range(31):
+            law = gamma_f(nu, order)
+            assert law.moments == tuple(moms[: order + 1]), (nu, order)
+            assert law.cumulants == tuple(cums[: order + 1]), (nu, order)
+
+
 def test_free_rademacher_kurtosis():
     assert free_rademacher(6).cumulant(4) == -1
 

@@ -193,9 +193,10 @@ def test_short_law_raises_instead_of_dropping_cumulants():
 
 def test_block_sum_matches_plain_enumeration():
     # any partition of the positions, so that a block may hold several
-    # positions of one factor (also its last), and tables that do not vanish
-    # on diagonals
+    # positions of one factor, and tables that do not vanish on diagonals; a
+    # factor whose last block holds two of its positions is refused
     rnd = random.Random(3)
+    kinds = Counter()
     for _ in range(300):
         n = rnd.randint(1, 3)
         degrees = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 3))]
@@ -211,6 +212,16 @@ def test_block_sum_matches_plain_enumeration():
         choices = [[(i, rnd.randint(-2, 3)) for i in range(1, n + 1) if rnd.random() < 0.8]
                    for _ in blocks]
         choices = [[(i, w) for i, w in row if w] for row in choices]
+        starts = list(itertools.accumulate(degrees, initial=0))
+        slots = [labels[a:b] for a, b in zip(starts, starts[1:])]
+        if any(s.count(max(s)) > 1 for s in slots):
+            kinds["last block twice"] += 1
+            with pytest.raises(ValueError, match="last block"):
+                _block_sum(tables, degrees, blocks, choices)
+            continue
+        kinds["summed"] += 1
+        if any(len(set(s)) < len(s) for s in slots):
+            kinds["summed with a block repeated"] += 1
         expected = 0
         for picks in itertools.product(*choices):
             index_at = {p: i for b, (i, _) in zip(blocks, picks) for p in b}
@@ -221,6 +232,8 @@ def test_block_sum_matches_plain_enumeration():
                 p += d
             expected += term
         assert _block_sum(tables, degrees, blocks, choices) == expected
+    assert kinds["last block twice"] + kinds["summed"] == 300
+    assert kinds["last block twice"] and kinds["summed with a block repeated"], kinds
 
 
 def joint_oracle(kernels, word, law):
@@ -377,8 +390,9 @@ def test_wick_moment_of_a_constant_kernel():
 def test_cross_engine_chi_square_and_free_poisson_identities():
     # H2(N) = N^2 - 1 has the centered chi-square(1) law and U2(S) the centered
     # free Poisson(1) law, so Wick moments of the order-2 lift must equal
-    # lattice moments of the degree-1 sum driven by those laws: two fully
-    # independent code paths per value.
+    # lattice moments of the degree-1 sum driven by those laws.  Both routes
+    # sum over the engine's orbits; the pairing referee of the next tests is
+    # what keeps wick_moment apart from the lattice.
     from homsum.laws import gamma_f, transformed_law
 
     assert transformed_law("gaussian", 2, 6).moments == gamma_f(1, 6).moments
@@ -394,7 +408,8 @@ def test_cross_engine_chi_square_and_free_poisson_identities():
 def test_wick_moment_of_an_order_two_lift_in_two_variables():
     # He_2(N_i) He_2(N_j) and U_2(S_i) U_2(S_j): the lifted Wick value is the
     # lattice moment of the degree-2 sum over centered chi-square(1) or free
-    # Poisson(1) entries; m = 3 sums 6040 pairings over few argument classes
+    # Poisson(1) entries; m = 3 sums the orbits of the respectful partitions
+    # of three copies of two positions, each block weighted by its diagrams
     from homsum.laws import gamma_f
 
     f = build_kernel(3, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2)), ((1, 3), F(-1, 3)),
@@ -405,12 +420,65 @@ def test_wick_moment_of_an_order_two_lift_in_two_variables():
         assert wick_moment(lk, m, "free") == moment_exact(SumSpec(f, free_poisson_centered(1, 14)), m)
 
 
+WICK_ORDERS = [(1,), (2,), (3,), (1, 1), (2, 2), (3, 3), (1, 2, 1), (2, 1, 2), (1, 1, 1), (2, 3, 2), (1, 3, 1), (2, 2, 2)]
+
+
+def test_wick_moment_matches_the_pairing_referee(wick_pairing_referee):
+    # random diagonal-vanishing bases at every n = d..d+2 and m with
+    # m * sum(orders) <= 12, both kinds; the referee's plain index sums keep
+    # to at most 8 base arguments
+    rnd = random.Random(23)
+    cases = 0
+    for orders in WICK_ORDERS:
+        d = len(orders)
+        for m in range(1, 12 // sum(orders) + 1):
+            if m * d > 8:
+                continue
+            for n in range(d, d + 3):
+                f = build_kernel(n, d, [(idx, F(rnd.randint(-3, 3), rnd.randint(1, 4)))
+                                        for idx in itertools.permutations(range(1, n + 1), d) if rnd.random() < 0.7])
+                for kind in ("classical", "free"):
+                    want = wick_pairing_referee(lift(f, orders), m, kind)
+                    assert wick_moment(lift(f, orders), m, kind) == want, (orders, n, m, kind)
+                    cases += 1
+    assert cases == 228
+
+
+def test_wick_moment_refuses_a_base_with_a_diagonal_entry():
+    f = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1)), ((2, 2), F(1, 3))])
+    for kind in ("classical", "free"):
+        with pytest.raises(ValueError, match="diagonal"):
+            wick_moment(lift(f, (1, 1)), 2, kind)
+    assert wick_moment(lift(f, (1, 1)), 0, "classical") == 1
+
+
 def test_wick_matches_transformed_law_hermite_sum():
     # Hermite-sum second moment via the lifted kernel equals the lifted Wick value
     f = build_kernel(2, 1, [((1,), F(1, 2)), ((2,), F(1, 3))])
     lk = lift(f, (2,))
     # Q = sum_i f(i) H_2(N_i): E[Q^2] = sum f^2 * E[H_2(N)^2] = 2 sum f^2
     assert wick_moment(lk, 2, "classical") == 2 * f.norm_sq()
+
+
+def test_joint_moment_of_words_mixing_constants_and_positive_degrees():
+    # a constant kernel in a word multiplies the moment of the rest
+    n = 3
+    f = build_kernel(n, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2)), ((2, 3), F(-2)), ((3, 2), F(-2))])
+    h = build_kernel(n, 1, [((1,), F(1)), ((3,), F(-1, 3))])
+    words = [(0, 1, 1), (1, 0, 1), (1, 1, 0, 0), (0, 2, 1, 2), (2, 0, 2)]
+    for c in (F(5, 7), F(-2), F(0)):
+        kernels = [build_kernel(n, 0, [((), c)]), f, h]
+        for law in (centered_poisson(F(1, 2), 12), free_poisson_centered(F(2, 3), 12)):
+            for word in words:
+                rest = [s for s in word if s]
+                want = c ** (len(word) - len(rest)) * joint_moment(kernels, rest, law)
+                assert joint_moment(kernels, word, law) == want, (c, law.name, word)
+    # the empty constant, and the cap refusal before a zero product
+    zero = build_kernel(n, 0, [])
+    assert joint_moment([zero, f], (0, 1, 1), gaussian(1, 8)) == 0
+    assert joint_moment([zero, f], (0, 0), gaussian(1, 8)) == 0
+    with pytest.raises(FeasibilityError):
+        joint_moment([zero, f], (0, 1, 1), gaussian(1, 8), cap=3)
 
 
 def test_joint_moment_consistency_and_covariance():

@@ -462,6 +462,21 @@ def test_quadrature_rule_with_complex_nodes():
             assert abs(z - 1j * xj) < 1e-12 and abs(wz - wj) < 1e-12, (n, z, wz)
 
 
+def test_imaginary_nodes_and_roots_come_in_increasing_im():
+    # a real part of rounding size counts as 0, so purely imaginary nodes and
+    # roots sort by their imaginary parts alone
+    ms = MomentFunctional.from_law(gaussian(1, 14)).groups[0]
+    Fm = MomentFunctional((tuple(m * (-1) ** (j // 2) for j, m in enumerate(ms)),))
+    nodes = quadrature_rule(Fm, 5).nodes
+    x = np.polynomial.hermite_e.hermegauss(5)[0]
+    assert all(abs(z - 1j * xj) < 1e-12 for z, xj in zip(nodes, x)), nodes
+    roots = poly_roots((F(0), F(4), F(0), F(5), F(0), F(1)))["roots"]  # x^5 + 5x^3 + 4x
+    assert all(abs(z - w) < 1e-12 for z, w in zip(roots, (-2j, -1j, 0, 1j, 2j))), roots
+    # real rules keep their increasing order
+    real = quadrature_rule(G, 5).nodes
+    assert list(real) == sorted(real, key=lambda z: z.real)
+
+
 def test_discriminant_moment_three_routes():
     assert discriminant_moment(G, 2, 1, "expansion") == 2
     assert discriminant_moment(G, 2, 2, "expansion") == 12

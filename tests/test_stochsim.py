@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from homsum.kernels import build_kernel, offdiag_kernel, star_kernel
-from homsum.laws import gaussian
+from homsum.laws import centered_poisson, gaussian, rademacher, uniform_centered
 from homsum.moments import SumSpec, moment_exact
 from homsum.partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 from homsum.stochsim import (
@@ -60,6 +60,14 @@ def test_stream_determinism():
 def test_sampler_moment_self_test(law, params):
     rep = Sampler(law, seed=7, params=params).moment_self_test(draws=100_000)
     assert rep["passed"], rep
+
+
+def test_sampler_law_spec_is_the_builtin_law():
+    assert Sampler("gaussian", seed=0, params={"sigma2": 1.5}).law_spec(6) == gaussian(F(3, 2), 6)
+    assert Sampler("gaussian", seed=0).law_spec(6) == gaussian(1, 6)
+    assert Sampler("centered_poisson", seed=0, params={"lam": 0.3}).law_spec(6) == centered_poisson(F(3, 10), 6)
+    assert Sampler("rademacher", seed=0).law_spec(6) == rademacher(6)
+    assert Sampler("uniform_centered", seed=0).law_spec(6) == uniform_centered(6)
 
 
 def test_unknown_sampler_law():
@@ -171,6 +179,15 @@ def test_per_path_loops_build_at_most_two_generators(monkeypatch):
         built.clear()
         kstat_experiment(gaussian_cell_sampler, 1.0, 2, 10, paths, 1.0, seed=17)
         assert len(built) <= 2, (paths, len(built))
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (1, 1)])
+def test_variation_targets_of_total_order_one_and_two(orders):
+    # chi_1(X_T) = lam T E[X]; chi_2(X_T) = sigma^2 T + lam T E[X^2]
+    disc = Sampler("discrete", seed=23, params={"values": [1.0, 2.0], "probs": [0.5, 0.5]})
+    out = variations_cumulant_check(2.0, disc, disc.law_spec(4), 0.5, 1.5, orders, 2000, seed=41)
+    assert out["target"] == (1.5 * 2.0 * 1.5 if sum(orders) == 1 else 0.5 * 1.5 + 1.5 * 2.0 * 2.5)
+    assert out["within_5se"], out
 
 
 def test_concurrent_variations_checks_agree_with_serial_runs():
