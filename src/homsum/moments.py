@@ -420,21 +420,19 @@ def moment_oracle(spec: SumSpec, m: int) -> Fraction:
 
 
 @lru_cache(maxsize=256)
-def _diagram_row(orders: tuple[int, ...], free: bool, n: int) -> tuple[tuple[int, int], ...]:
-    """A :func:`wick_moment` block's weight row over [n], empty for a zero
-    weight.  The weight is the joint (free, in this order) cumulant of
-    P_{h_1}(X), ..., P_{h_k}(X), h = ``orders``, Hermite polynomials of a
-    standard Gaussian or Chebyshev ones of a standard semicircular X: the
-    integer count of their connected diagrams, solved from the respectful
-    pairing counts."""
+def _diagram_weight(orders: tuple[int, ...], free: bool) -> int:
+    """A :func:`wick_moment` block's weight: the joint (free, in this order)
+    cumulant of P_{h_1}(X), ..., P_{h_k}(X), h = ``orders``, Hermite
+    polynomials of a standard Gaussian or Chebyshev ones of a standard
+    semicircular X.  It is the integer count of their connected diagrams,
+    solved from the respectful pairing counts."""
 
     def moment(block: tuple[int, ...]) -> Fraction:
         hs = [orders[j - 1] for j in block]
         filt = PartitionFilter(noncrossing=free, allowed_block_sizes={2}, respects=_factor_layout(hs))
         return Fraction(count_partitions(sum(hs), filt, sum(hs)))
 
-    w = int(multivariate_cumulant(moment, len(orders), "free" if free else "classical", len(orders)))
-    return tuple((i, w) for i in range(1, n + 1)) if w else ()
+    return int(multivariate_cumulant(moment, len(orders), "free" if free else "classical", len(orders)))
 
 
 def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP) -> Fraction:
@@ -446,7 +444,9 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     By the diagram formula (Peccati & Taqqu 2011; Kemp, Nourdin, Peccati &
     Speicher 2012) it is the lattice sum of :func:`joint_moment` for m
     copies of the base kernel, which must vanish on diagonals, with the
-    weights of :func:`_diagram_row` in place of a law's cumulants.
+    weights of :func:`_diagram_weight` in place of a law's cumulants.  A
+    connected diagram on k >= 3 vertices needs a vertex of order >= 2, so
+    with every order 1 only pairs carry weight.
     """
     if mode not in ("classical", "free"):
         raise ValueError("mode must be 'classical' or 'free'")
@@ -471,12 +471,14 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
     free = mode == "free"
     table, den = _integer_scaled(f.values)
     orders = lk.orders * m  # the lift order at each position
+    sizes = frozenset({2} if max(lk.orders) == 1 else range(2, m + 1))
     total = 0
-    for blocks, mult in _respectful_blocks((0,) * m, (f.d,) * m, free, frozenset(range(2, m + 1)), cap):
+    for blocks, mult in _respectful_blocks((0,) * m, (f.d,) * m, free, sizes, cap):
         # a block's signature: its positions' orders, sorted for the classical kind
         sigs = (tuple(orders[p - 1] for p in b) for b in blocks)
-        choices = [_diagram_row(s if free else tuple(sorted(s)), free, f.n) for s in sigs]
-        if all(choices):
+        weights = [_diagram_weight(s if free else tuple(sorted(s)), free) for s in sigs]
+        if all(weights):
+            choices = [[(i, w) for i in range(1, f.n + 1)] for w in weights]
             total += mult * _block_sum((table,) * m, (f.d,) * m, blocks, choices)
     return Fraction(total, den**m)
 

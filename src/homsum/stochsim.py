@@ -46,7 +46,9 @@ from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 if TYPE_CHECKING:
     from .kernels import Kernel
 
-_SAMPLER_LAWS = ("gaussian", "rademacher", "centered_poisson", "uniform_centered", "discrete")
+# each sampler law with the params it takes
+_SAMPLER_LAWS = {"gaussian": {"sigma2"}, "rademacher": set(), "centered_poisson": {"lam"},
+                 "uniform_centered": set(), "discrete": {"values", "probs"}}
 # invariance_decay_experiment computes a moment gap exactly up to this many positions
 EXACT_CAP_POSITIONS = 12
 # variations_cumulant_check splits its paths into this many groups for the standard error
@@ -87,8 +89,9 @@ def _stream(seed: int, task: int = 0, rng: np.random.Generator | None = None) ->
 class Sampler:
     """An i.i.d. sampler for one of the supported laws.
 
-    'discrete' takes params {'values': [...], 'probs': [...]}; the other laws
-    take their usual parameters.  Draws are deterministic in (seed, task).
+    'discrete' takes params {'values': [...], 'probs': [...]}, 'gaussian'
+    takes 'sigma2' and 'centered_poisson' 'lam'; a param the law does not
+    take raises ValueError.  Draws are deterministic in (seed, task).
     """
 
     law: str
@@ -97,7 +100,10 @@ class Sampler:
 
     def __post_init__(self):
         if self.law not in _SAMPLER_LAWS:
-            raise ValueError(f"unknown sampler law {self.law!r}; known: {_SAMPLER_LAWS}")
+            raise ValueError(f"unknown sampler law {self.law!r}; known: {tuple(_SAMPLER_LAWS)}")
+        unknown = self.params.keys() - _SAMPLER_LAWS[self.law]
+        if unknown:
+            raise ValueError(f"the {self.law} sampler takes no params {sorted(unknown)}")
         if self.law == "discrete" and not {"values", "probs"} <= self.params.keys():
             raise ValueError("the discrete sampler needs params 'values' and 'probs'")
 

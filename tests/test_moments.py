@@ -444,6 +444,19 @@ def test_wick_moment_matches_the_pairing_referee(wick_pairing_referee):
     assert cases == 228
 
 
+def test_wick_moment_of_order_one_lifts_at_the_cap():
+    # He_1(N) = N and U_1(S) = S: with every order 1 only pairs carry weight,
+    # so the lifted moment is the Gaussian or semicircular lattice moment;
+    # m * sum(orders) = 14 is the default cap
+    base = build_kernel(1, 1, [((1,), F(1))])
+    assert wick_moment(lift(base, (1,)), 14, "classical") == respectful_pairings(1, 14, "classical") == 135135
+    assert wick_moment(lift(base, (1,)), 14, "free") == respectful_pairings(1, 14, "noncrossing") == 429
+    rnd = random.Random(5)
+    f = build_kernel(3, 2, [(idx, F(rnd.randint(-3, 3), rnd.randint(1, 4))) for idx in itertools.permutations(range(1, 4), 2)])
+    for kind, law in (("classical", gaussian(1, 14)), ("free", semicircle(1, 14))):
+        assert wick_moment(lift(f, (1, 1)), 7, kind) == moment_exact(SumSpec(f, law), 7) != 0
+
+
 def test_wick_moment_refuses_a_base_with_a_diagonal_entry():
     f = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1)), ((2, 2), F(1, 3))])
     for kind in ("classical", "free"):

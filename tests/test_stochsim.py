@@ -70,6 +70,14 @@ def test_sampler_law_spec_is_the_builtin_law():
     assert Sampler("uniform_centered", seed=0).law_spec(6) == uniform_centered(6)
 
 
+def test_sampler_refuses_params_its_law_does_not_take():
+    for law, params in [("rademacher", {"lam": 2}), ("gaussian", {"lam": 2}), ("uniform_centered", {"sigma2": 2}),
+                        ("centered_poisson", {"lam": 2, "sigma2": 1}),
+                        ("discrete", {"values": [1], "probs": [1], "lam": 2})]:
+        with pytest.raises(ValueError, match="takes no params"):
+            Sampler(law, seed=0, params=params)
+
+
 def test_unknown_sampler_law():
     with pytest.raises(ValueError):
         Sampler("cauchy", seed=0)
