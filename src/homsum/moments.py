@@ -43,10 +43,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .kernels import Kernel, KernelError, contraction, influence, slice_kernel, star_contraction
-from .kernels import LiftedKernel, _integer_scaled, _on_orbits, _orbit_size, _orbits
+from .kernels import Kernel, KernelError, contraction, influence, star_contraction
+from .kernels import LiftedKernel, _entries_by_head, _integer_scaled, _numerators, _on_orbits, _orbit_size, _orbits
 from .laws import LawSpec, gaussian, multivariate_cumulant, semicircle
 from .partitions import (
     DEFAULT_SIZE_CAP,
@@ -487,43 +487,63 @@ def wick_moment(lk: LiftedKernel, m: int, mode: str, cap: int = DEFAULT_SIZE_CAP
 # fourth-moment decompositions
 
 
+def _require_standard(law: LawSpec) -> None:
+    """Refuse an entry law outside the fourth-moment identities: each needs it
+    centered with unit variance and, in the classical kind, E[X^3] = 0."""
+    if law.cumulant(1) != 0 or law.cumulant(2) != 1:
+        raise AssumptionError(f"law {law.name} must be centered with unit variance")
+    if law.kind == "classical" and law.moment(3) != 0:
+        raise AssumptionError(f"the classical fourth-moment identities assume E[X^3] = 0 ({law.name})")
+
+
 def _standard_fourth(g: Kernel, kind: str, cap: int) -> Fraction:
     """E[Q(g)^4] over standard Gaussian (classical kind) or standard
-    semicircular (free kind) entries; g vanishes on diagonals, degree 0 allowed."""
+    semicircular (free kind) entries; g vanishes on diagonals.  Degrees 0 and 1
+    are closed forms: g()^4, and Q(h) = sum_i h_i X_i is Gaussian (semicircular)
+    with variance ||h||^2, so its fourth moment is 3 ||h||^4 (2 ||h||^4)."""
     if g.d == 0:
         return g(()) ** 4
+    if g.d == 1:
+        return (3 if kind == "classical" else 2) * g.norm_sq() ** 2
     law = gaussian(1, max_order=8) if kind == "classical" else semicircle(1, max_order=8)
     return moment_exact(SumSpec(g, law), 4, cap)
 
 
-def _fourth_class_sums(f: Kernel, cap: int) -> tuple[Fraction, tuple[Fraction, ...], tuple[int, ...]]:
-    """E[Q(f)^4] over standard Gaussian entries, then the classical class sums
-    C_1..C_d and class counts of :func:`fourth_moment_formula`."""
-    base = _standard_fourth(f, "classical", cap)
-    d = f.d
-    # g: the average of f over all d! orders of its arguments
-    means = {key: sum(vs) / _orbit_size(key) for key, vs in _orbits(f.values.items()).items()}
-    g = Kernel(f.n, d, _on_orbits(means), f.mode)
+def _head_slices(g: Kernel, m: int) -> Iterator[Kernel]:
+    """The nonzero slices g(j, .) at increasing heads j_1 < ... < j_m, from one
+    grouping pass over g's entries."""
+    for head, rest in _entries_by_head(g.values, m).items():
+        if all(a < b for a, b in zip(head, head[1:])):
+            yield Kernel(g.n, g.d - m, dict(rest), g.mode)
+
+
+def _fourth_class_sums(f: Kernel, cap: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The classical class sums C_1..C_d of :func:`fourth_moment_formula` and
+    their counts, for any diagonal-vanishing f: C_m takes the slices of the
+    symmetrization g from :func:`_head_slices` and values them by
+    :func:`_standard_fourth`."""
+    d, (table, den) = f.d, _numerators(f)
+    # g: the average of f over all d! orders of its arguments, in numerators over den * d!
+    sums = {key: sum(vs) * (math.factorial(d) // _orbit_size(key)) for key, vs in _orbits(table.items()).items()}
+    g = Kernel(f.n, d, _on_orbits(sums), f.mode)
+    unit = Fraction(1, (den * math.factorial(d)) ** 4)
     terms, counts = [], []
     for m in range(1, d + 1):
-        acc = Fraction(0)
-        for j in itertools.combinations(range(1, f.n + 1), m):
-            s = slice_kernel(g, j)
-            if s.values:
-                acc += _standard_fourth(s, "classical", cap)
+        acc = sum(_standard_fourth(s, "classical", cap) for s in _head_slices(g, m))
         coeff = math.comb(d, m) ** 4 * math.factorial(m) ** 3
-        terms.append(coeff * math.factorial(m) * acc)
+        terms.append(coeff * math.factorial(m) * acc * unit)
         counts.append(coeff * respectful_pairings(d - m, 4, cap=cap))
-    return base, tuple(terms), tuple(counts)
+    return tuple(terms), tuple(counts)
 
 
 def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     """Decompose E[Q^4] into the Gaussian/semicircular part plus fourth-cumulant
     corrections.
 
-    Free kind: phi(Q_Y^4) = phi(Q_S^4) + kappa_4(Y) * sum_k phi(Q_S(f(k,.))^4)
+    Free kind, for a fully symmetric f only (refused otherwise):
+    phi(Q_Y^4) = phi(Q_S^4) + kappa_4(Y) * sum_k phi(Q_S(f(k,.))^4)
     (the respectful partitions with blocks of size 2 or 4 carry exactly one
-    4-block).
+    4-block); the slices f(k, .) come from :func:`_head_slices`.
 
     Classical kind: E[Q_X^4] = E[Q_N^4] + sum_{m=1..d} chi_4^m C_m.  C_m sums
     the respectful partitions of four copies of f's d positions into m blocks
@@ -535,7 +555,8 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
     over binom(d,m)^4 m!^3 |P2*((d-m)^{x4})| partitions (choose each copy's
     m positions in 4-blocks, match them across copies, pair the rest).  It
     holds for every f because Q(f) = Q(sym f), and it sums over index sets
-    because each set occurs as m! ordered tuples with equal slices of g.
+    because each set occurs as m! ordered tuples with equal slices of g
+    (:func:`_fourth_class_sums`).
     """
     if not spec.iid:
         raise AssumptionError(
@@ -543,41 +564,35 @@ def fourth_moment_formula(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> dict:
         )
     f = spec.kernel
     law = spec.law
-    d = f.d
-    if d < 1:
+    if f.d < 1:
         raise ValueError("degree must be >= 1")
-    if law.cumulant(1) != 0 or law.cumulant(2) != 1:
-        raise AssumptionError("law must be centered with unit variance")
+    _require_standard(law)
 
     if spec.kind == "free":
+        if not f.is_symmetric:
+            raise AssumptionError("the free decomposition holds only for fully symmetric kernels")
         base = _standard_fourth(f, "free", cap)
-        slice_fourths = [
-            _standard_fourth(slice_kernel(f, (k,)), "free", cap) for k in range(1, f.n + 1)
-        ]
+        slice_sum = sum((_standard_fourth(s, "free", cap) for s in _head_slices(f, 1)), Fraction(0))
         kappa4 = law.cumulant(4)
-        correction = kappa4 * sum(slice_fourths, Fraction(0))
         return {
             "kind": "free",
             "semicircular_term": base,
             "kappa4": kappa4,
-            "slice_fourth_sum": sum(slice_fourths, Fraction(0)),
-            "correction": correction,
-            "total": base + correction,
+            "slice_fourth_sum": slice_sum,
+            "correction": kappa4 * slice_sum,
+            "total": base + kappa4 * slice_sum,
         }
 
-    if law.moment(3) != 0:
-        raise AssumptionError("classical decomposition assumes E[X^3] = 0")
     chi4 = law.cumulant(4)
-    base, class_terms, class_counts = _fourth_class_sums(f, cap)
-
-    total = base + sum(chi4**m * c for m, c in enumerate(class_terms, 1))
+    base = _standard_fourth(f, "classical", cap)
+    class_terms, class_counts = _fourth_class_sums(f, cap)
     return {
         "kind": "classical",
         "gaussian_term": base,
         "chi4": chi4,
         "class_terms": class_terms,
         "class_counts": class_counts,
-        "total": total,
+        "total": base + sum(chi4**m * c for m, c in enumerate(class_terms, 1)),
     }
 
 
@@ -597,21 +612,16 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
     if spec.iid:
         raise AssumptionError("use fourth_moment_formula for i.i.d. entries; this is the bound path")
     f = spec.kernel
-    laws = spec.laws()
     if spec.kind != "classical":
         raise AssumptionError("the non-i.i.d. bound is classical-only")
-    chi4s = []
-    for law in laws:
-        if law.cumulant(1) != 0 or law.cumulant(2) != 1 or law.moment(3) != 0:
-            raise AssumptionError("every entry law must be centered, unit variance, m3 = 0")
+    for law in spec.laws():
+        _require_standard(law)
         if law.cumulant(4) < 0:
             raise AssumptionError("the bound requires nonnegative fourth cumulants")
-        chi4s.append(law.cumulant(4))
-    d = f.d
-    lo = min(chi4s)
-    A = min(lo**m for m in range(1, d + 1))
-    base, class_terms, _ = _fourth_class_sums(f, cap)
-    class_sum = sum(class_terms, Fraction(0))
+    lo = min(law.cumulant(4) for law in spec.laws())
+    A = min(lo**m for m in range(1, f.d + 1))
+    base = _standard_fourth(f, "classical", cap)
+    class_sum = sum(_fourth_class_sums(f, cap)[0], Fraction(0))
     m4 = moment_exact(spec, 4, cap)
     var = moment_exact(spec, 2, cap)
     lower = (base - 3 * var**2) + A * class_sum
@@ -627,31 +637,23 @@ def fourth_moment_bound_non_iid(spec: SumSpec, cap: int = DEFAULT_SIZE_CAP) -> d
 
 
 def quadratic_fourth_moment_gap(f: Kernel, law_a: LawSpec, law_b: LawSpec) -> Fraction:
-    """E[Q_A(f)^4] - E[Q_B(f)^4] for a symmetric diagonal-vanishing quadratic
-    kernel and two centered unit-variance classical laws with vanishing third
-    moments, through the closed class sums
-
-        C_1 = 48 sum_k (sum_j f(k,j)^2)^2,   C_2 = 8 sum f^4,
-
-    so the gap is (chi4_A - chi4_B) C_1 + (chi4_A^2 - chi4_B^2) C_2.  The
-    class sums are those of :func:`fourth_moment_formula` at d = 2
-    (cross-checked against the lattice engine in the tests);
-    this form is O(n^2) and serves the large-n trajectory experiments.
+    """E[Q_A(f)^4] - E[Q_B(f)^4] for a diagonal-vanishing quadratic kernel,
+    symmetric or not, and two classical laws that are centered with unit
+    variance and E[X^3] = 0: by :func:`fourth_moment_formula` the Gaussian
+    parts cancel, so the gap is sum_m (chi4_A^m - chi4_B^m) C_m over the class
+    sums of :func:`_fourth_class_sums`.  At d = 2 every slice is a closed
+    form, so the gap costs O(n^2) and serves the large-n trajectory
+    experiments.
     """
-    if f.d != 2:
-        raise ValueError("closed-form gap is quadratic-only")
+    if f.d != 2 or not f.vanishes_on_diagonals:
+        raise ValueError("the gap needs a quadratic kernel that vanishes on the diagonal")
     for law in (law_a, law_b):
-        if law.cumulant(1) != 0 or law.cumulant(2) != 1 or law.moment(3) != 0:
-            raise AssumptionError("laws must be centered, unit variance, with m3 = 0")
-    row_mass: dict[int, Fraction] = {}
-    quart = Fraction(0)
-    for (i, j), v in f.values.items():
-        row_mass[i] = row_mass.get(i, Fraction(0)) + v * v
-        quart += v**4
-    c1 = 48 * sum((w * w for w in row_mass.values()), Fraction(0))
-    c2 = 8 * quart
+        if law.kind != "classical":
+            raise AssumptionError("the gap is classical-only")
+        _require_standard(law)
     xa, xb = law_a.cumulant(4), law_b.cumulant(4)
-    return (xa - xb) * c1 + (xa * xa - xb * xb) * c2
+    terms, _ = _fourth_class_sums(f, DEFAULT_SIZE_CAP)
+    return sum(((xa**m - xb**m) * c for m, c in enumerate(terms, 1)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +814,8 @@ def stein_wasserstein_bound(
     bound = sqrt(P1 * (E[Q^4] - 3) + 4 (m4 + 1) tau) / (2 sqrt(2 pi))
           + 4 R3 (E|X|^3)^2 sqrt(tau) / 3,
     with P1 = m4 E[(X^2+1)^2] + (m4+1)^2 and E[(X^2+1)^2] expanded through
-    the law's moments.  R3 is a configured Rosenthal constant.
+    the law's moments.  R3 is a configured Rosenthal constant.  P1 and m4 are
+    those of the one i.i.d. entry law; a per-index law list is refused.
     """
     for name, value in (("abs_third_moment", abs_third_moment), ("rosenthal_c3", rosenthal_c3)):
         if not (math.isfinite(value) and value >= 0):
@@ -820,9 +823,9 @@ def stein_wasserstein_bound(
     f = spec.kernel
     if f.d != 2:
         raise AssumptionError("the Stein-pair bound is quadratic-only (d = 2)")
-    if spec.kind != "classical":
-        raise AssumptionError("the Stein-pair bound is classical-only")
-    law = spec.laws()[0]
+    if spec.kind != "classical" or not spec.iid:
+        raise AssumptionError("the Stein-pair bound needs i.i.d. classical entries: one law, not a list")
+    law = spec.law
     if law.moment(3) != 0:
         raise AssumptionError("the bound assumes E[X^3] = 0")
     m4 = float(law.moment(4))

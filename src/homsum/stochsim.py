@@ -49,8 +49,6 @@ if TYPE_CHECKING:
 # each sampler law with the params it takes
 _SAMPLER_LAWS = {"gaussian": {"sigma2"}, "rademacher": set(), "centered_poisson": {"lam"},
                  "uniform_centered": set(), "discrete": {"values", "probs"}}
-# invariance_decay_experiment computes a moment gap exactly up to this many positions
-EXACT_CAP_POSITIONS = 12
 # variations_cumulant_check splits its paths into this many groups for the standard error
 CUMULANT_GROUPS = 50
 # compound_poisson_cell_sampler draws cells one by one from this cell mean on
@@ -243,12 +241,14 @@ def invariance_decay_experiment(
 
     ``kernel_family`` returns the exact unnormalized kernel at each n; rows
     carry results for the unit-variance rescaling (sum f^2 = 1, the influence
-    normalization).  Moment gaps |E[Q_A^m] - E[Q_B^m]| are exact (computed on
-    the exact kernel and rescaled by c^m) whenever the lattice engine is
-    feasible; otherwise the seeded Monte Carlo estimate substitutes.
+    normalization).  Each gap |E[Q_A^m] - E[Q_B^m]| takes the first route
+    that applies: the identity of :func:`quadratic_fourth_moment_gap` (m = 4,
+    d = 2, both laws within its assumptions), the lattice engine while it is
+    feasible, else the seeded Monte Carlo estimate.  ``moment{m}_gap_exact``
+    flags the exact routes, which run on the exact kernel and rescale by c^m.
     """
     from .kernels import influence
-    from .moments import FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
+    from .moments import AssumptionError, FeasibilityError, SumSpec, moment_exact, quadratic_fourth_moment_gap
 
     law_a = sampler_a.law_spec()
     law_b = sampler_b.law_spec()
@@ -271,23 +271,19 @@ def invariance_decay_experiment(
             "trials": trials,
         }
         for m in moments_to_track:
-            gap = None
-            exact = False
-            work = n ** ((fe.d * m) // 2)
-            if fe.mode == "exact" and m == 4 and fe.d == 2 and fe.is_symmetric:
-                gap = c**4 * abs(float(quadratic_fourth_moment_gap(fe, law_a, law_b)))
-                exact = True
-            elif fe.mode == "exact" and fe.d * m <= EXACT_CAP_POSITIONS and work <= 300_000:
+            diff = None
+            if fe.mode == "exact" and m == 4 and fe.d == 2:
                 try:
-                    ga = moment_exact(SumSpec(fe, law_a), m)
-                    gb = moment_exact(SumSpec(fe, law_b), m)
-                    gap = c**m * abs(float(ga - gb))
-                    exact = True
+                    diff = quadratic_fourth_moment_gap(fe, law_a, law_b)
+                except AssumptionError:
+                    pass
+            if diff is None and fe.mode == "exact" and n ** ((fe.d * m) // 2) <= 300_000:
+                try:
+                    diff = moment_exact(SumSpec(fe, law_a), m) - moment_exact(SumSpec(fe, law_b), m)
                 except FeasibilityError:
                     pass
-            if gap is None:
-                gap = abs(float(np.mean(sa**m) - np.mean(sb**m)))
-            row[f"moment{m}_gap"] = gap
+            exact = diff is not None
+            row[f"moment{m}_gap"] = c**m * abs(float(diff)) if exact else abs(float(np.mean(sa**m) - np.mean(sb**m)))
             row[f"moment{m}_gap_exact"] = exact
         rows.append(row)
     return rows

@@ -314,6 +314,35 @@ def test_simulation_subcommands(tmp_path):
     assert code == 0 and payload["result"]["within_5se"] is True
 
 
+def test_simulate_invariance_with_a_third_moment_law(tmp_path):
+    # the fourth-moment identity needs E[X^3] = 0; centered_poisson takes the
+    # lattice (the report rounds floats to 12 digits)
+    from homsum.kernels import offdiag_kernel
+    from homsum.laws import centered_poisson, gaussian
+    from homsum.moments import SumSpec, moment_exact
+
+    code, payload = run_json(
+        ["simulate-invariance", "--sampler-b", "centered_poisson", "--sizes", "4,8", "--trials", "500", "--seed", "5"],
+        tmp_path,
+    )
+    assert code == 0
+    for row, n in zip(payload["result"]["rows"], [4, 8]):
+        fe = offdiag_kernel(n)
+        gap = moment_exact(SumSpec(fe, gaussian(1, 10)), 4) - moment_exact(SumSpec(fe, centered_poisson(1, 10)), 4)
+        assert row["moment4_gap_exact"] is True
+        assert row["moment4_gap"] == pytest.approx(float(abs(gap) / fe.norm_sq() ** 2), rel=1e-9)
+
+
+def test_free_fourth_moment_refuses_a_nonsymmetric_kernel(tmp_path):
+    cyclic = build_kernel(3, 2, [((1, 2), F(1)), ((2, 3), F(2)), ((3, 1), F(1, 2))])
+    path = tmp_path / "cyclic.json"
+    path.write_text(kernel_to_json(cyclic))
+    code, payload = run_json(["fourth-moment", "--kernel", str(path), "--law", "tetilla"], tmp_path)
+    assert code == 2 and "error" in payload["result"]
+    code, payload = run_json(["fourth-moment", "--kernel", str(path), "--law", "rademacher"], tmp_path)
+    assert code == 0 and payload["result"]["total"] == "777/16"
+
+
 def test_exit_codes(tmp_path, half_kernel_path, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["no-such-command"])

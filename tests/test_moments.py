@@ -25,6 +25,7 @@ from homsum.laws import (
     rademacher,
     semicircle,
     tetilla,
+    uniform_centered,
 )
 from homsum.moments import (
     AssumptionError,
@@ -588,12 +589,51 @@ def test_fourth_classes_match_a_per_class_referee(fourth_class_referee):
     kernels += [nonsymmetric_random(n, d, rnd) for n, d in shapes]
     kernels.append(nonsymmetric_random(4, 3, rnd, density=0.5))  # sparse: d = 3 block sums are slow
     for k in kernels:
-        base, terms, got_counts = _fourth_class_sums(k, 14)
+        terms, got_counts = _fourth_class_sums(k, 14)
+        base = _standard_fourth(k, "classical", 14)
         ref_base, ref_terms, ref_counts, census = fourth_class_referee(k)
-        assert base == _standard_fourth(k, "classical", 14)
         assert (base, terms, got_counts) == (ref_base, ref_terms, ref_counts), (k.n, k.d)
         assert sum(census.values()) == sum(got_counts) + census[(2,) * (2 * k.d)]
     assert sum(k.is_symmetric is False for k in kernels) >= 6
+
+
+def test_standard_fourth_closed_forms_match_the_lattice():
+    # degree 1: Q(h) is Gaussian (semicircular) with variance ||h||^2
+    rnd = random.Random(17)
+    laws = {"classical": gaussian(1, 8), "free": semicircle(1, 8)}
+    for n in (1, 2, 3, 5):
+        for _ in range(3):
+            h = build_kernel(n, 1, [((i,), F(rnd.randint(-3, 3), rnd.randint(1, 4))) for i in range(1, n + 1)])
+            for kind, law in laws.items():
+                assert _standard_fourth(h, kind, 14) == moment_exact(SumSpec(h, law), 4), (n, kind)
+    for kind in laws:
+        assert _standard_fourth(build_kernel(3, 1, []), kind, 14) == 0
+        assert _standard_fourth(build_kernel(3, 0, [((), F(-2, 3))]), kind, 14) == F(16, 81)
+
+
+# f(1,2) = 1, f(2,3) = 2, f(3,1) = 1/2: no two entries share an orbit
+CYCLIC = build_kernel(3, 2, [((1, 2), F(1)), ((2, 3), F(2)), ((3, 1), F(1, 2))])
+
+
+def test_free_fourth_moment_formula_needs_a_symmetric_kernel():
+    # the free identity sums slices f(k, .); it holds only for fully symmetric f
+    mirror = build_kernel(4, 3, [((1, 2, 3), F(1)), ((3, 2, 1), F(1)), ((1, 3, 4), F(2)), ((4, 3, 1), F(2)),
+                                 ((2, 1, 4), F(-1, 2)), ((4, 1, 2), F(-1, 2))])
+    assert mirror.is_mirror_symmetric and not mirror.is_symmetric
+    for k in (CYCLIC, mirror):
+        for law in (tetilla(10), free_poisson_centered(1, 10)):
+            with pytest.raises(AssumptionError):
+                fourth_moment_formula(SumSpec(k, law))
+    rnd = random.Random(19)
+    checked = 0
+    for n, d in [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3)]:
+        k = symmetric_random(n, d, rnd)
+        if not k.values:
+            continue
+        for law in (tetilla(10), free_poisson_centered(1, 10)):
+            assert fourth_moment_formula(SumSpec(k, law))["total"] == moment_exact(SumSpec(k, law), 4), (n, d)
+            checked += 1
+    assert checked >= 8
 
 
 def test_classical_formula_rejects_nonzero_third_moment():
@@ -677,13 +717,20 @@ def test_quadratic_inequalities_on_random_kernels():
 
 def test_quadratic_gap_closed_form():
     rnd = random.Random(4)
-    for _ in range(5):
-        k = symmetric_random(4, 2, rnd)
+    kernels = [symmetric_random(4, 2, rnd) for _ in range(5)]
+    # the class sums symmetrize, so the gap holds for any diagonal-vanishing f
+    kernels += [CYCLIC] + [nonsymmetric_random(n, 2, random.Random(23 + n)) for n in (3, 4, 5)]
+    for k in kernels:
         if not k.values:
             continue
-        for a, b in [(gaussian(1, 10), rademacher(10)), (rademacher(10), gaussian(1, 10))]:
+        for a, b in [(gaussian(1, 10), rademacher(10)), (rademacher(10), gaussian(1, 10)),
+                     (rademacher(10), uniform_centered(10))]:
             assert quadratic_fourth_moment_gap(k, a, b) == \
                 moment_exact(SumSpec(k, a), 4) - moment_exact(SumSpec(k, b), 4)
+    assert quadratic_fourth_moment_gap(CYCLIC, rademacher(10), gaussian(1, 10)) == F(-399, 2)
+    for law in (centered_poisson(1, 10), semicircle(1, 10)):
+        with pytest.raises(AssumptionError):
+            quadratic_fourth_moment_gap(CYCLIC, gaussian(1, 10), law)
 
 
 def test_stein_bound():
@@ -697,6 +744,11 @@ def test_stein_bound():
     with pytest.raises(AssumptionError):
         d3 = build_kernel(3, 3, [(p, F(1)) for p in itertools.permutations((1, 2, 3))])
         stein_wasserstein_bound(SumSpec(d3, gaussian(1, 12)), abs_third_moment=1.0)
+    # P1 and m4 come from one entry law, so a per-index law list is refused
+    k3 = build_kernel(3, 2, [((1, 2), F(1)), ((2, 1), F(1)), ((2, 3), F(1, 2)), ((3, 2), F(1, 2))])
+    for laws in ((gaussian(1, 10), rademacher(10), rademacher(10)), (rademacher(10), gaussian(1, 10), gaussian(1, 10))):
+        with pytest.raises(AssumptionError):
+            stein_wasserstein_bound(SumSpec(k3, laws), abs_third_moment=1.0)
 
 
 def test_hypercontractivity_bound():

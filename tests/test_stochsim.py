@@ -273,6 +273,28 @@ def test_identical_samplers_zero_exact_gaps():
     assert rows[0]["moment4_gap"] == 0 and rows[0]["moment4_gap_exact"]
 
 
+def test_invariance_gap_routes_for_a_law_with_a_third_moment():
+    # centered_poisson has E[X^3] = 1, outside the fourth-moment identity: the
+    # lattice gives the gap at n = 4, and at n = 24 (24^4 index maps) the
+    # seeded Monte Carlo estimate from the drawn samples does
+    sa, sb = Sampler("gaussian", seed=41), Sampler("centered_poisson", seed=42)
+    rows = invariance_decay_experiment(star_kernel, sa, sb, sizes=[4, 24], moments_to_track=(4,), trials=4000)
+    for t, (row, n) in enumerate(zip(rows, [4, 24])):
+        fe = star_kernel(n)
+        c = math.sqrt(1.0 / float(fe.norm_sq()))
+        exact = float((moment_exact(SumSpec(fe, sa.law_spec()), 4) - moment_exact(SumSpec(fe, sb.law_spec()), 4)) * c**4)
+        assert row["moment4_gap_exact"] is (n == 4)
+        if n == 4:
+            assert row["moment4_gap"] == pytest.approx(abs(exact), rel=1e-12)
+            continue
+        f = fe.to_float().scaled(c)
+        xa = sample_homsum(f, sa, 4000, task=2 * t) ** 4
+        xb = sample_homsum(f, sb, 4000, task=2 * t + 1) ** 4
+        assert row["moment4_gap"] == abs(float(np.mean(xa) - np.mean(xb)))
+        se = math.sqrt((xa.var(ddof=1) + xb.var(ddof=1)) / 4000)
+        assert abs(float(np.mean(xa) - np.mean(xb)) - exact) <= 5 * se
+
+
 def test_jump_paths():
     p0 = compound_poisson_path(0.0, Sampler("rademacher", seed=3), 0.0, 2.0, seed=9)
     assert variation(p0, 1) == 0 and variation(p0, 2) == 0 and variation(p0, 3) == 0
