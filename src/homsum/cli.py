@@ -10,7 +10,6 @@ validation failure (with a machine-readable error record), 1 internal error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -19,8 +18,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .partitions import DEFAULT_SIZE_CAP, PartitionFilter, SetPartition, enumerate_partitions, moebius_to_top
+from . import DEFAULT_SIZE_CAP, __version__
 
 # the layer modules load inside the handlers that use them, so that a
 # subcommand imports (and compiles) only what it runs
@@ -86,6 +84,8 @@ def render(report: dict, config: dict, fmt: str) -> str:
         if rows is None:
             raise CliValidationError("format", "this report has no tabular rows; use json or text", "format")
         if rows:
+            import csv
+
             writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             for r in rows:
@@ -186,6 +186,8 @@ def _law_functional(args, need_order: int) -> O.MomentFunctional:
 
 
 def cmd_partitions(args, cap):
+    from .partitions import PartitionFilter, SetPartition, enumerate_partitions, moebius_to_top
+
     # --min-block-size k allows the sizes k..n (an n above the cap is refused)
     sizes = set(range(max(args.min_block_size, 1), min(args.n, cap) + 1))
     if args.pairings:
@@ -459,153 +461,149 @@ def cmd_kstat(args, cap):
     return {**rep, "limit": limit}
 
 
-HANDLERS = {
-    "partitions": cmd_partitions,
-    "kernel-validate": cmd_kernel_validate,
-    "contract": cmd_contract,
-    "influence": cmd_influence,
-    "moment": cmd_moment,
-    "fourth-moment": cmd_fourth_moment,
-    "fmt-check": cmd_fmt_check,
-    "noncentral-check": cmd_noncentral_check,
-    "joint-moment": cmd_joint_moment,
-    "stein-bound": cmd_stein_bound,
-    "gops": cmd_gops,
-    "recurrence": cmd_recurrence,
-    "quadrature": cmd_quadrature,
-    "discriminant": cmd_discriminant,
-    "sylvester": cmd_sylvester,
-    "simulate-invariance": cmd_simulate_invariance,
-    "simulate-levy": cmd_simulate_levy,
-    "kstat": cmd_kstat,
+# the kernel subcommands work in either mode; the exact-engine subcommands
+# force exact mode, so they accept --mode exact and nothing else
+EITHER = {"modes": ["exact", "float"], "kernel": True}
+EXACT_ENGINE = {"modes": ["exact"], "cap": True, "law": True}
+
+# name -> (handler, help, the option groups _add_groups adds, the subcommand's
+# own arguments as (flag, add_argument keywords)), in --help order
+SUBCOMMANDS = {
+    "partitions": (cmd_partitions, "enumerate set / non-crossing partitions", {"cap": True}, [
+        ("--n", {"type": int, "required": True}),
+        ("--pairings", {"action": "store_true", "help": "blocks of size 2 only"}),
+        ("--noncrossing", {"action": "store_true"}),
+        ("--min-block-size", {"type": int, "default": 1}),
+        ("--respects", {"default": None, "help": 'partition text form, e.g. "1,2|3,4"'}),
+        ("--moebius", {"action": "store_true", "help": "include Moebius values to the top"}),
+    ]),
+    "kernel-validate": (cmd_kernel_validate, "admissibility report for a kernel", EITHER, [
+        ("--flavor", {"choices": ["classical", "free", "mirror"], "required": True}),
+    ]),
+    "contract": (cmd_contract, "contraction or star contraction of kernels", EITHER, [
+        ("--other", {"default": None, "help": "second kernel JSON (default: same kernel)"}),
+        ("--order", {"type": int, "required": True}),
+        ("--star", {"action": "store_true", "help": "star contraction instead of plain"}),
+    ]),
+    "influence": (cmd_influence, "influence profile and tau_max", EITHER, []),
+    "moment": (cmd_moment, "exact moment of a homogeneous sum", {"kernel": True, **EXACT_ENGINE}, [
+        ("--order", {"type": int, "required": True}),
+        ("--with-oracle", {"action": "store_true", "help": "also run the brute-force oracle"}),
+    ]),
+    "fourth-moment": (cmd_fourth_moment, "fourth-moment decomposition record", {"kernel": True, **EXACT_ENGINE}, []),
+    "fmt-check": (cmd_fmt_check, "fourth-moment-theorem diagnostic report",
+                  {"kernel": True, "tol": True, **EXACT_ENGINE}, []),
+    "noncentral-check": (cmd_noncentral_check, "gamma / free-Poisson approximation diagnostic",
+                         {"kernel": True, **EXACT_ENGINE}, [
+        ("--target", {"choices": ["gamma", "free_poisson"], "required": True}),
+        ("--param", {"required": True, "help": "nu or lambda (rational)"}),
+    ]),
+    "joint-moment": (cmd_joint_moment, "mixed moment of several homogeneous sums", EXACT_ENGINE, [
+        ("--kernel", {"action": "append", "required": True, "help": "kernel JSON path (repeatable)"}),
+        ("--word", {"required": True, "help": "comma-separated kernel indices, e.g. 0,1,0"}),
+    ]),
+    "stein-bound": (cmd_stein_bound, "quadratic Stein-pair Wasserstein bound", {"kernel": True, **EXACT_ENGINE}, [
+        ("--abs-third-moment", {"type": float, "required": True, "help": "E|X|^3 of the law"}),
+        ("--rosenthal", {"type": float, "default": 4.0, "help": "Rosenthal constant R3 (default 4)"}),
+    ]),
+    "gops": (cmd_gops, "generalized orthogonal polynomial p_{nm}", {"law": True}, [
+        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": int, "default": 1,
+                 "help": "second index of p_{n,m}; a one-law functional defines it only for m = 1 (default 1)"}),
+        ("--with-expectation-route", {"action": "store_true"}),
+    ]),
+    "recurrence": (cmd_recurrence, "Jacobi-Szego coefficients and monic OPs", {"law": True}, [
+        ("--n", {"type": int, "required": True}),
+    ]),
+    "quadrature": (cmd_quadrature, "Gauss rule: nodes, Christoffel weights, exactness",
+                   {"law": True, "tol_float": True}, [
+        ("--n", {"type": int, "required": True}),
+    ]),
+    "discriminant": (cmd_discriminant, "E[Delta^(2k)] by quadrature/expansion/closed form", {"law": True}, [
+        ("--N", {"type": int, "required": True, "help": "sample size"}),
+        ("--k", {"type": int, "required": True, "help": "half the Vandermonde power"}),
+        ("--method", {"choices": ["expansion", "quadrature", "lu_gaussian"], "default": "expansion",
+                      "help": "default expansion; lu_gaussian needs --law gaussian"}),
+    ]),
+    "sylvester": (cmd_sylvester, "Sylvester power-sum decompositions", {"law": True}, [
+        ("--n", {"type": int, "required": True}),
+        ("--k", {"type": int, "default": 1}),
+        ("--sylvester-mode", {"choices": ["discriminant", "appel"], "default": "discriminant",
+                              "help": "default discriminant; appel needs --k 1"}),
+    ]),
+    "simulate-invariance": (cmd_simulate_invariance, "invariance-decay trajectory experiment", {"seed": True}, [
+        ("--family", {"choices": sorted(_FAMILIES), "default": "offdiag"}),
+        ("--sampler-a", {"default": "gaussian"}),
+        ("--sampler-b", {"default": "rademacher"}),
+        ("--sizes", {"default": "4,8,16,32"}),
+        ("--trials", {"type": int, "default": 20000}),
+    ]),
+    "simulate-levy": (cmd_simulate_levy, "variations-cumulant Monte Carlo check", {"seed": True}, [
+        ("--rate", {"type": float, "default": 2.0}),
+        ("--sigma2", {"type": float, "default": 0.0}),
+        ("--horizon", {"type": float, "default": 1.0}),
+        ("--jumps", {"default": "rademacher", "help": "jump sampler law"}),
+        ("--orders", {"default": "3", "help": "comma-separated variation orders"}),
+        ("--paths", {"type": int, "default": 10000}),
+    ]),
+    "kstat": (cmd_kstat, "diagonal-measure kappa-statistic experiment", {"seed": True}, [
+        ("--measure", {"choices": ["gaussian", "compound_poisson"], "default": "gaussian"}),
+        ("--order", {"type": int, "default": 2}),
+        ("--refinement", {"type": int, "default": 100}),
+        ("--paths", {"type": int, "default": 2000}),
+        ("--horizon", {"type": float, "default": 1.0}),
+        ("--rate", {"type": float, "default": None,
+                    "help": "jump rate of --measure compound_poisson only (default 2.0)"}),
+        ("--jumps", {"default": None,
+                     "help": "jump sampler law of --measure compound_poisson only (default rademacher)"}),
+    ]),
 }
 
 
-def build_parser() -> UsageParser:
+def _add_groups(p, *, modes=(), seed=False, cap=False, tol=False, tol_float=False, law=False, kernel=False):
+    """--format and --output plus only the option groups the subcommand's
+    handler reads; ``modes`` lists the accepted --mode values."""
+    if modes:
+        p.add_argument("--mode", choices=modes, default="exact", help="scalar mode (default exact)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="seed for any randomized step (default 0)")
+    if cap:
+        p.add_argument("--cap", type=int, default=None,
+                       help=f"partition-size cap (default {DEFAULT_SIZE_CAP}; env HOMSUM_CAP overrides the default)")
+    p.add_argument("--format", choices=["json", "csv", "text"], default="json", help="output format (default json)")
+    p.add_argument("--output", default=None, help="output path (default stdout)")
+    if tol:
+        p.add_argument("--tol", default=None, help="rational tolerance for verdicts (default exact zero)")
+    if tol_float:
+        p.add_argument("--tol-float", type=float, default=1e-9, help="float tolerance (default 1e-9)")
+    if law:
+        p.add_argument("--law", default=None, help="builtin law name or a law JSON path")
+        p.add_argument("--law-param", action="append", default=[],
+                       help="law parameter key=value (repeatable), e.g. sigma2=1")
+    if kernel:
+        p.add_argument("--kernel", required=True, help="kernel JSON path")
+
+
+def build_parser(command: str | None = None) -> UsageParser:
+    """The homsum parser.  Given the name of a subcommand, it holds only that
+    subcommand's arguments, which parse its argv as the full parser does, at
+    a fraction of the set-up cost; otherwise (``--help``, an unknown or
+    missing subcommand) it holds every subcommand."""
     parser = UsageParser(prog="homsum", description=__doc__)
     parser.add_argument("--version", action="version", version=f"homsum {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, help, *, modes=(), seed=False, cap=False, tol=False, tol_float=False,
-                   law=False, kernel=False):
-        """A subparser with --format and --output plus only the option groups
-        its handler reads; ``modes`` lists the accepted --mode values."""
-        p = sub.add_parser(name, help=help)
-        if modes:
-            p.add_argument("--mode", choices=modes, default="exact",
-                           help="scalar mode (default exact)")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for any randomized step (default 0)")
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help=f"partition-size cap (default {DEFAULT_SIZE_CAP}; env HOMSUM_CAP overrides the default)")
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json",
-                       help="output format (default json)")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        if tol:
-            p.add_argument("--tol", default=None, help="rational tolerance for verdicts (default exact zero)")
-        if tol_float:
-            p.add_argument("--tol-float", type=float, default=1e-9, help="float tolerance (default 1e-9)")
-        if law:
-            p.add_argument("--law", default=None, help="builtin law name or a law JSON path")
-            p.add_argument("--law-param", action="append", default=[],
-                           help="law parameter key=value (repeatable), e.g. sigma2=1")
-        if kernel:
-            p.add_argument("--kernel", required=True, help="kernel JSON path")
-        return p
-
-    # the kernel subcommands work in either mode; the exact-engine subcommands
-    # force exact mode, so they accept --mode exact and nothing else
-    either = ["exact", "float"]
-    exact_engine = dict(modes=["exact"], cap=True, law=True)
-
-    p = subcommand("partitions", "enumerate set / non-crossing partitions", cap=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pairings", action="store_true", help="blocks of size 2 only")
-    p.add_argument("--noncrossing", action="store_true")
-    p.add_argument("--min-block-size", type=int, default=1)
-    p.add_argument("--respects", default=None, help='partition text form, e.g. "1,2|3,4"')
-    p.add_argument("--moebius", action="store_true", help="include Moebius values to the top")
-
-    p = subcommand("kernel-validate", "admissibility report for a kernel", modes=either, kernel=True)
-    p.add_argument("--flavor", choices=["classical", "free", "mirror"], required=True)
-
-    p = subcommand("contract", "contraction or star contraction of kernels", modes=either, kernel=True)
-    p.add_argument("--other", default=None, help="second kernel JSON (default: same kernel)")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--star", action="store_true", help="star contraction instead of plain")
-
-    subcommand("influence", "influence profile and tau_max", modes=either, kernel=True)
-
-    p = subcommand("moment", "exact moment of a homogeneous sum", kernel=True, **exact_engine)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--with-oracle", action="store_true", help="also run the brute-force oracle")
-
-    subcommand("fourth-moment", "fourth-moment decomposition record", kernel=True, **exact_engine)
-
-    subcommand("fmt-check", "fourth-moment-theorem diagnostic report", kernel=True, tol=True, **exact_engine)
-
-    p = subcommand("noncentral-check", "gamma / free-Poisson approximation diagnostic", kernel=True, **exact_engine)
-    p.add_argument("--target", choices=["gamma", "free_poisson"], required=True)
-    p.add_argument("--param", required=True, help="nu or lambda (rational)")
-
-    p = subcommand("joint-moment", "mixed moment of several homogeneous sums", **exact_engine)
-    p.add_argument("--kernel", action="append", required=True, help="kernel JSON path (repeatable)")
-    p.add_argument("--word", required=True, help="comma-separated kernel indices, e.g. 0,1,0")
-
-    p = subcommand("stein-bound", "quadratic Stein-pair Wasserstein bound", kernel=True, **exact_engine)
-    p.add_argument("--abs-third-moment", type=float, required=True, help="E|X|^3 of the law")
-    p.add_argument("--rosenthal", type=float, default=4.0, help="Rosenthal constant R3 (default 4)")
-
-    p = subcommand("gops", "generalized orthogonal polynomial p_{nm}", law=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1,
-                   help="second index of p_{n,m}; a one-law functional defines it only for m = 1 (default 1)")
-    p.add_argument("--with-expectation-route", action="store_true")
-
-    p = subcommand("recurrence", "Jacobi-Szego coefficients and monic OPs", law=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = subcommand("quadrature", "Gauss rule: nodes, Christoffel weights, exactness", law=True, tol_float=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = subcommand("discriminant", "E[Delta^(2k)] by quadrature/expansion/closed form", law=True)
-    p.add_argument("--N", type=int, required=True, help="sample size")
-    p.add_argument("--k", type=int, required=True, help="half the Vandermonde power")
-    p.add_argument("--method", choices=["expansion", "quadrature", "lu_gaussian"], default="expansion",
-                   help="default expansion; lu_gaussian needs --law gaussian")
-
-    p = subcommand("sylvester", "Sylvester power-sum decompositions", law=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--sylvester-mode", choices=["discriminant", "appel"], default="discriminant",
-                   help="default discriminant; appel needs --k 1")
-
-    p = subcommand("simulate-invariance", "invariance-decay trajectory experiment", seed=True)
-    p.add_argument("--family", choices=sorted(_FAMILIES), default="offdiag")
-    p.add_argument("--sampler-a", default="gaussian")
-    p.add_argument("--sampler-b", default="rademacher")
-    p.add_argument("--sizes", default="4,8,16,32")
-    p.add_argument("--trials", type=int, default=20000)
-
-    p = subcommand("simulate-levy", "variations-cumulant Monte Carlo check", seed=True)
-    p.add_argument("--rate", type=float, default=2.0)
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--jumps", default="rademacher", help="jump sampler law")
-    p.add_argument("--orders", default="3", help="comma-separated variation orders")
-    p.add_argument("--paths", type=int, default=10000)
-
-    p = subcommand("kstat", "diagonal-measure kappa-statistic experiment", seed=True)
-    p.add_argument("--measure", choices=["gaussian", "compound_poisson"], default="gaussian")
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--refinement", type=int, default=100)
-    p.add_argument("--paths", type=int, default=2000)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=None,
-                   help="jump rate of --measure compound_poisson only (default 2.0)")
-    p.add_argument("--jumps", default=None,
-                   help="jump sampler law of --measure compound_poisson only (default rademacher)")
+    if command in SUBCOMMANDS:
+        # usage lines still list every subcommand
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(SUBCOMMANDS))
+    else:
+        names = list(SUBCOMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _, summary, groups, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        _add_groups(p, **groups)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -618,8 +616,8 @@ def _default_cap() -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     config = {
         "command": args.command,
         "cap": getattr(args, "cap", None),
@@ -636,7 +634,7 @@ def run(argv=None) -> int:
             # HOMSUM_CAP sets the default of --cap; a subcommand without the
             # flag reads no cap and echoes the package default
             config["cap"] = _default_cap() if hasattr(args, "cap") else DEFAULT_SIZE_CAP
-        report = HANDLERS[args.command](args, config["cap"])
+        report = SUBCOMMANDS[args.command][0](args, config["cap"])
         _write(render(report, config, args.format), args.output)
         return 0
     except CliValidationError as e:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
+
+from . import record
 
 Scalar = Fraction | float
 
@@ -37,7 +38,7 @@ def _as_scalar(v, mode: str) -> Scalar:
     return float(v)
 
 
-@dataclass(frozen=True)
+@record
 class Kernel:
     n: int
     d: int
@@ -328,23 +329,7 @@ def tau_max(f: Kernel) -> Scalar:
     return max(influence(f), default=f._zero)
 
 
-def slice_kernel(f: Kernel, prefix: tuple[int, ...]) -> Kernel:
-    """Fix the first len(prefix) arguments; the result has degree d - len(prefix)."""
-    m = len(prefix)
-    if m > f.d:
-        raise KernelError("prefix longer than kernel degree")
-    if any(not (1 <= i <= f.n) for i in prefix):
-        raise KernelError("prefix index out of range")
-    prefix = tuple(prefix)
-    out = {
-        idx[m:]: v
-        for idx, v in f.values.items()
-        if idx[:m] == prefix
-    }
-    return Kernel(f.n, f.d - m, out, f.mode)
-
-
-@dataclass(frozen=True)
+@record
 class LiftedKernel:
     """A kernel lifted to tensor degree m = sum(orders); orders must be palindromic."""
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
+from . import record
 from .partitions import DEFAULT_SIZE_CAP, _check_cap, respectful_pairings
 
 DEFAULT_MAX_ORDER = 10
@@ -31,7 +31,7 @@ class LawError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LawSpec:
     """A probability law given by exact moment and cumulant sequences.
 

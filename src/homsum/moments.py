@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import record
 from .kernels import Kernel, KernelError, contraction, influence, star_contraction
 from .kernels import LiftedKernel, _entries_by_head, _integer_scaled, _numerators, _on_orbits, _orbit_size, _orbits
 from .laws import LawSpec, gaussian, multivariate_cumulant, semicircle
@@ -69,7 +69,7 @@ class AssumptionError(ValueError):
     """A stated moment assumption (centering, third moment, parity) fails."""
 
 
-@dataclass(frozen=True)
+@record
 class SumSpec:
     """A homogeneous sum Q_X(f): kernel plus driving law(s).
 
@@ -815,7 +815,9 @@ def stein_wasserstein_bound(
           + 4 R3 (E|X|^3)^2 sqrt(tau) / 3,
     with P1 = m4 E[(X^2+1)^2] + (m4+1)^2 and E[(X^2+1)^2] expanded through
     the law's moments.  R3 is a configured Rosenthal constant.  P1 and m4 are
-    those of the one i.i.d. entry law; a per-index law list is refused.
+    those of the one i.i.d. entry law; a per-index law list is refused, and so
+    is a law that is not centered with unit variance and E[X^3] = 0.  E[Q^4] - 3
+    is read as the fourth cumulant of Q, so the bound assumes Var(Q) = 1.
     """
     for name, value in (("abs_third_moment", abs_third_moment), ("rosenthal_c3", rosenthal_c3)):
         if not (math.isfinite(value) and value >= 0):
@@ -826,8 +828,7 @@ def stein_wasserstein_bound(
     if spec.kind != "classical" or not spec.iid:
         raise AssumptionError("the Stein-pair bound needs i.i.d. classical entries: one law, not a list")
     law = spec.law
-    if law.moment(3) != 0:
-        raise AssumptionError("the bound assumes E[X^3] = 0")
+    _require_standard(law)
     m4 = float(law.moment(4))
     ex2p1sq = float(law.moment(4) + 2 * law.moment(2) + 1)
     p1 = m4 * ex2p1sq + (m4 + 1.0) ** 2

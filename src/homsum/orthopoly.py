@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from . import record
 from .laws import LawSpec, _binomial_shift
 
 if TYPE_CHECKING:
@@ -230,7 +230,7 @@ def _pfaffian(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 # moment functionals
 
 
-@dataclass(frozen=True)
+@record
 class MomentFunctional:
     """Per-group exact moment sequences a_{jk} (group j, order k).
 
@@ -458,7 +458,7 @@ def multi_indices_upto(n: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(idx, key=lambda k: (sum(k), k)))
 
 
-@dataclass(frozen=True)
+@record
 class MultiMomentFunctional:
     """Joint-moment tables per group: a maps a multi-index to E[X^k] exactly."""
 
@@ -586,7 +586,7 @@ def poly_roots(p: Sequence[Fraction]) -> dict:
     return {"roots": tuple(roots), "all_simple": simple, "tol": ROOT_TOL}
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureRule:
     nodes: tuple[complex, ...]
     weights: tuple[complex, ...]
@@ -774,7 +774,7 @@ def discriminant_product_poly(F: MomentFunctional, n: int, k: int) -> Poly:
     return _vandermonde_expectation(F, n, k, 2 * k - 1)
 
 
-@dataclass(frozen=True)
+@record
 class SylvesterDecomposition:
     """A power-sum decomposition p(x) ~ sum_j weights[j] (nodes[j] - x)^degree.
 

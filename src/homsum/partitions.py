@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-DEFAULT_SIZE_CAP = 14
+from . import DEFAULT_SIZE_CAP, record
 
 
 class SizeCapError(ValueError):
@@ -203,7 +202,7 @@ def lattice_join(sigma: SetPartition, pi: SetPartition) -> SetPartition:
     return SetPartition.from_blocks(sigma.n, _union_classes(sigma.n, links))
 
 
-@dataclass(frozen=True)
+@record
 class PartitionFilter:
     """Filter clauses for :func:`enumerate_partitions`; all active clauses must hold.
 

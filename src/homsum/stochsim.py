@@ -33,13 +33,13 @@ one jump count, a row sum that equals the path's own 1-D sum bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import record
 from .laws import LawSpec, builtin_law
 from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 
@@ -83,7 +83,7 @@ def _stream(seed: int, task: int = 0, rng: np.random.Generator | None = None) ->
     return rng
 
 
-@dataclass(frozen=True)
+@record
 class Sampler:
     """An i.i.d. sampler for one of the supported laws.
 
@@ -94,9 +94,11 @@ class Sampler:
 
     law: str
     seed: int
-    params: dict = field(default_factory=dict)
+    params: dict = None  # no params: a fresh {}
 
     def __post_init__(self):
+        if self.params is None:
+            object.__setattr__(self, "params", {})
         if self.law not in _SAMPLER_LAWS:
             raise ValueError(f"unknown sampler law {self.law!r}; known: {tuple(_SAMPLER_LAWS)}")
         unknown = self.params.keys() - _SAMPLER_LAWS[self.law]
@@ -293,7 +295,7 @@ def invariance_decay_experiment(
 # compound Poisson / Levy experiments
 
 
-@dataclass(frozen=True)
+@record
 class JumpPath:
     """A compound-Poisson trajectory plus an independent Gaussian component.
 

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from homsum.kernels import Kernel, KernelError
 from homsum.laws import _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
 from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim, quadrature_rule
@@ -18,6 +19,18 @@ from homsum.partitions import (
     interval_partition,
     moebius_to_top,
 )
+
+
+def slice_kernel(f, prefix):
+    """f with its first len(prefix) arguments fixed, of degree d - len(prefix):
+    the slices the fourth-moment identities are stated with."""
+    m = len(prefix)
+    if m > f.d:
+        raise KernelError("prefix longer than kernel degree")
+    if any(not (1 <= i <= f.n) for i in prefix):
+        raise KernelError("prefix index out of range")
+    prefix = tuple(prefix)
+    return Kernel(f.n, f.d - m, {idx[m:]: v for idx, v in f.values.items() if idx[:m] == prefix}, f.mode)
 
 
 def per_class_enumeration(k):

@@ -18,7 +18,6 @@ from homsum.kernels import (
     contraction,
     influence,
     offdiag_kernel,
-    slice_kernel,
     star_contraction,
     star_kernel,
     tau_max,
@@ -64,6 +63,8 @@ from homsum.stochsim import (
     sample_homsum,
     variations_cumulant_check,
 )
+
+from conftest import slice_kernel
 
 GAUSS = MomentFunctional.from_law(gaussian(1, 14))
 

@@ -533,33 +533,107 @@ def test_import_and_moment_leave_numpy_unloaded():
     assert proc.stdout.split() == ["False", "0", "False"]
 
 
+# the Monte Carlo shapes of the parser and module-loading tests
+MONTE_CARLO_ARGVS = [
+    ["kstat", "--refinement", "10", "--paths", "20"],
+    ["kstat", "--measure", "compound_poisson", "--refinement", "10", "--paths", "20"],
+    ["simulate-levy", "--paths", "40", "--orders", "3"],
+    ["simulate-invariance", "--sizes", "4,8", "--trials", "2000", "--seed", "5"],
+]
 # kstat and simulate-levy run neither the kernel layer nor the moment engine
 MONTE_CARLO_LAYERS = {"homsum", "homsum.cli", "homsum.laws", "homsum.partitions", "homsum.stochsim"}
+# standard modules an exact child does not load (numpy loads inspect itself)
+EXACT_SKIPS = {"dataclasses", "inspect", "csv"}
 
 
 @pytest.mark.parametrize("argv, loaded, not_loaded", [
-    (["partitions", "--n", "5"], {"homsum", "homsum.cli", "homsum.partitions"}, set()),
+    (["partitions", "--n", "5"], {"homsum", "homsum.cli", "homsum.partitions"}, EXACT_SKIPS),
     (["contract", "--kernel", "k5.json", "--order", "1"], None,
-     {"homsum.laws", "homsum.moments", "homsum.orthopoly"}),
-    (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"], None, {"homsum.orthopoly"}),
-    (["kstat", "--refinement", "10", "--paths", "20"], MONTE_CARLO_LAYERS, set()),
-    (["kstat", "--measure", "compound_poisson", "--refinement", "10", "--paths", "20"], MONTE_CARLO_LAYERS, set()),
-    (["simulate-levy", "--paths", "40", "--orders", "3"], MONTE_CARLO_LAYERS, set()),
+     {"homsum.laws", "homsum.moments", "homsum.orthopoly", "homsum.partitions", *EXACT_SKIPS}),
+    (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"], None,
+     {"homsum.orthopoly", *EXACT_SKIPS}),
+    (MONTE_CARLO_ARGVS[0], MONTE_CARLO_LAYERS, set()),
+    (MONTE_CARLO_ARGVS[1], MONTE_CARLO_LAYERS, set()),
+    (MONTE_CARLO_ARGVS[2], MONTE_CARLO_LAYERS, set()),
 ])
 def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     proc = run_python(
         "import json, os, sys\n"
         "import homsum.cli as cli\n"
         "code = cli.run(json.loads(sys.argv[1]) + ['--output', os.devnull])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'homsum')]))\n",
-        json.dumps(argv),
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'homsum' or m in json.loads(sys.argv[2]))]))\n",
+        json.dumps(argv), json.dumps(sorted(EXACT_SKIPS)),
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
     assert code == 0
     if loaded is not None:
-        assert set(modules) == loaded
+        assert set(modules) - EXACT_SKIPS == loaded
     assert not set(modules) & not_loaded, modules
+
+
+# csv loads inside render's csv branch; its output is as recorded before
+@pytest.mark.parametrize("argv,digest,size", [
+    (["partitions", "--n", "5", "--moebius", "--format", "csv"],
+     "a4bb24000de5c9c58d107e42b8f4d4d71bd49506233dc5f5a67f51bc97271516", 1132),
+    (["quadrature", "--law", "gaussian", "--n", "4", "--format", "csv"],
+     "7ef217c15b27dac815c35b77cb5c8a6bde8151d4ae19f6dc3488ce52d81d81d5", 297),
+])
+def test_csv_output_golden(argv, digest, size, capsys, monkeypatch):
+    monkeypatch.delenv("HOMSUM_CAP", raising=False)
+    monkeypatch.chdir(DATA)
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions if isinstance(getattr(a, "choices", None), dict))
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS + MONTE_CARLO_ARGVS, ids=lambda argv: argv[0])
+def test_a_one_subcommand_parser_parses_as_the_full_parser(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_a_one_subcommand_parser_prints_the_full_help_and_errors(capsys):
+    full = build_parser()
+    assert set(_subparsers(full)) == set(SUBCOMMAND_OPTIONS)
+    for name, p in _subparsers(full).items():
+        one = build_parser(name)
+        assert list(_subparsers(one)) == [name]
+        assert one.format_usage() == full.format_usage()
+        assert _subparsers(one)[name].format_help() == p.format_help(), name
+        # a usage error inside the subcommand reads the same both ways
+        texts = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--no-such-flag"])
+            assert exc.value.code == 64
+            texts.append(capsys.readouterr().err)
+        assert texts[0] == texts[1] and "\nerror: " in texts[0], name
+
+
+@pytest.mark.parametrize("argv, code, out, last_err_line", [
+    (["--version"], 0, "homsum 0.1.0\n", None),
+    ([], 64, "", "error: the following arguments are required: command"),
+    (["bogus"], 64, "", "error: argument command: invalid choice: 'bogus' (choose from 'partitions', "
+     "'kernel-validate', 'contract', 'influence', 'moment', 'fourth-moment', 'fmt-check', 'noncentral-check', "
+     "'joint-moment', 'stein-bound', 'gops', 'recurrence', 'quadrature', 'discriminant', 'sylvester', "
+     "'simulate-invariance', 'simulate-levy', 'kstat')"),
+])
+def test_version_bare_and_unknown_commands(argv, code, out, last_err_line, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if last_err_line is None:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("usage: homsum [-h] [--version]")
+        assert captured.err.splitlines()[-1] == last_err_line
 
 
 def test_fmt_check_on_a_degree_0_kernel(tmp_path):

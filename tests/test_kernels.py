@@ -22,12 +22,13 @@ from homsum.kernels import (
     lifted_midpoint_norm_sq,
     offdiag_kernel,
     scale_to_unit_variance,
-    slice_kernel,
     star_contraction,
     star_kernel,
     tau_max,
     validate,
 )
+
+from conftest import slice_kernel
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 

@@ -11,7 +11,6 @@ from homsum.kernels import (
     contraction,
     lift,
     offdiag_kernel,
-    slice_kernel,
     star_kernel,
 )
 from homsum.laws import (
@@ -48,6 +47,8 @@ from homsum.moments import (
     wick_moment,
 )
 from homsum.partitions import PartitionFilter, _factor_layout, count_partitions, enumerate_partitions, respectful_pairings
+
+from conftest import slice_kernel
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -749,6 +750,10 @@ def test_stein_bound():
     for laws in ((gaussian(1, 10), rademacher(10), rademacher(10)), (rademacher(10), gaussian(1, 10), gaussian(1, 10))):
         with pytest.raises(AssumptionError):
             stein_wasserstein_bound(SumSpec(k3, laws), abs_third_moment=1.0)
+    # E[Q^4] - 3 is the fourth cumulant only when Var(Q) = 1: a law of
+    # variance 4 (Var Q = 16 here) is refused, not given a bound of 695
+    with pytest.raises(AssumptionError, match="unit variance"):
+        stein_wasserstein_bound(SumSpec(HALF, gaussian(4, 10)), abs_third_moment=e_abs3)
 
 
 def test_hypercontractivity_bound():
