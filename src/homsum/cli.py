@@ -59,6 +59,58 @@ def _jsonable(x):
     return x
 
 
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _json_lines(x, out: list, pad: str = "\n") -> None:
+    """Append to ``out`` the text of ``json.dumps(_jsonable(x), indent=2)``.
+
+    One pass in place of the copy through ``_jsonable`` and ``json``'s
+    pure-Python indent encoder; ``pad`` is the newline and indent of the
+    level ``x`` sits at.  Leaves other than None, str and int go through
+    ``_jsonable``."""
+    if isinstance(x, str):
+        out.append(_ascii(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, (dict, list, tuple)):
+        if not x:
+            out.append("{}" if isinstance(x, dict) else "[]")
+            return
+        inner = pad + "  "
+        lead, sep = inner, "," + inner
+        if isinstance(x, dict):
+            mark = len(out)
+            out.append("{")
+            for k, v in x.items():
+                if k.__class__ is not str:
+                    # restart on _jsonable's copy, where keys whose str coincide keep one entry
+                    del out[mark:]
+                    return _json_lines({str(k): v for k, v in x.items()}, out, pad)
+                out += (lead, _ascii(k), ": ")
+                _json_lines(v, out, inner)
+                lead = sep
+            out.append(pad + "}")
+        else:
+            out.append("[")
+            for v in x:
+                out.append(lead)
+                _json_lines(v, out, inner)
+                lead = sep
+            out.append(pad + "]")
+    else:
+        y = _jsonable(x)
+        if y.__class__ is float:
+            out.append(float.__repr__(y) if math.isfinite(y) else
+                       "NaN" if y != y else "Infinity" if y > 0 else "-Infinity")
+        elif y is x:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        else:
+            _json_lines(y, out, pad)
+
+
 def _text_table(rows: list[dict]) -> str:
     if not rows:
         return "(empty)\n"
@@ -72,10 +124,17 @@ def _text_table(rows: list[dict]) -> str:
 
 
 def render(report: dict, config: dict, fmt: str) -> str:
-    """The report as JSON, CSV or aligned text; CSV needs the report's rows."""
-    payload = {"config": _jsonable(config), "result": _jsonable(report)}
+    """The report as JSON, CSV or aligned text; CSV needs the report's rows.
+
+    JSON is the exact text of ``json.dumps(..., indent=2)`` on the
+    ``_jsonable`` copy of ``{"config": config, "result": report}`` (ASCII
+    escapes, Fractions as ``"p/q"``, floats at 12 significant digits),
+    written by ``_json_lines`` without building that copy."""
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        out = []
+        _json_lines({"config": config, "result": report}, out)
+        return "".join(out) + "\n"
+    payload = {"config": _jsonable(config), "result": _jsonable(report)}
     buf = io.StringIO()
     for k, v in payload["config"].items():
         buf.write(f"# {k}={v}\n")
@@ -197,12 +256,14 @@ def cmd_partitions(args, cap):
         allowed_block_sizes=sizes if args.pairings or args.min_block_size > 1 else None,
         respects=SetPartition.parse(args.respects) if args.respects else None,
     )
-    # rows hold SetPartition's text form, written through a digit table
-    digits = [str(x) for x in range(min(args.n, cap) + 1)]
+    # rows hold SetPartition's text form; a block's text is built once, as
+    # the partitions of [n] share at most 2^n distinct blocks
+    texts = {}
     mode = "noncrossing" if args.noncrossing else "classical"
     rows = []
     for p in enumerate_partitions(args.n, filt, cap):
-        row = {"partition": "|".join([",".join([digits[x] for x in b]) for b in p]), "blocks": len(p)}
+        text = "|".join([texts.get(b) or texts.setdefault(b, ",".join(map(str, b))) for b in p])
+        row = {"partition": text, "blocks": len(p)}
         if args.moebius:
             row["moebius_to_top"] = moebius_to_top(p, mode)
         rows.append(row)

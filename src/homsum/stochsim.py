@@ -528,7 +528,8 @@ def variations_cumulant_check(
     flat = np.concatenate(drawn)
     starts = np.cumsum(counts) - counts
     V = np.zeros((paths, k))
-    for m in np.unique(counts[counts > 0]):
+    # a sorted set, not np.unique, which would import numpy.ma
+    for m in sorted(set(counts[counts > 0].tolist())):
         rows = np.flatnonzero(counts == m)
         block = flat[starts[rows, None] + np.arange(m)]
         for j, c in enumerate(orders):
