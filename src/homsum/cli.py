@@ -134,9 +134,8 @@ def render(report: dict, config: dict, fmt: str) -> str:
         out = []
         _json_lines({"config": config, "result": report}, out)
         return "".join(out) + "\n"
-    payload = {"config": _jsonable(config), "result": _jsonable(report)}
     buf = io.StringIO()
-    for k, v in payload["config"].items():
+    for k, v in _jsonable(config).items():
         buf.write(f"# {k}={v}\n")
     rows = report.get("rows")
     if fmt == "csv":
@@ -152,10 +151,8 @@ def render(report: dict, config: dict, fmt: str) -> str:
         return buf.getvalue()
     if rows is not None:
         buf.write(_text_table(rows))
-        rest = {k: v for k, v in payload["result"].items() if k != "rows"}
-    else:
-        rest = payload["result"]
-    for k, v in rest.items():
+        report = {k: v for k, v in report.items() if k != "rows"}
+    for k, v in _jsonable(report).items():
         buf.write(f"{k}: {json.dumps(v) if isinstance(v, (dict, list)) else v}\n")
     return buf.getvalue()
 

@@ -353,40 +353,6 @@ def lift(f: Kernel, orders: Iterable[int]) -> LiftedKernel:
     return LiftedKernel(f, tuple(int(h) for h in orders))
 
 
-def lifted_contraction_norms_sq(lk: LiftedKernel) -> dict[int, dict]:
-    """Squared norms ||k (x)_r k||^2 for r = 1..m-1 of the lifted tensor,
-    expressed through contractions and star contractions of the base kernel."""
-    f = lk.base
-    m = lk.total_degree
-    prefix = [0]
-    for h in lk.orders:
-        prefix.append(prefix[-1] + h)
-    out: dict[int, dict] = {}
-    for r in range(1, m):
-        if r in prefix:
-            q = prefix.index(r)
-            val = contraction(f, f, q).norm_sq()
-            out[r] = {"kind": "contraction", "order": q, "norm_sq": val}
-        else:
-            q = next(j for j in range(1, f.d + 1) if prefix[j - 1] < r < prefix[j])
-            val = star_contraction(f, f, q).norm_sq()
-            out[r] = {"kind": "star", "order": q, "norm_sq": val}
-    return out
-
-
-def lifted_midpoint_norm_sq(lk: LiftedKernel) -> dict:
-    """Squared norm ||k (x)_{m/2} k - k||^2 via the base kernel (m must be even)."""
-    f = lk.base
-    m = lk.total_degree
-    if m % 2 != 0:
-        raise KernelError("total lifted degree must be even for the midpoint norm")
-    if f.d % 2 == 0:
-        diff = contraction(f, f, f.d // 2) - f
-        return {"kind": "contraction", "order": f.d // 2, "norm_sq": diff.norm_sq()}
-    diff = star_contraction(f, f, (f.d + 1) // 2) - f
-    return {"kind": "star", "order": (f.d + 1) // 2, "norm_sq": diff.norm_sq()}
-
-
 def _scalar_to_json(v: Scalar) -> str | float:
     return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import record
-from .partitions import DEFAULT_SIZE_CAP, _check_cap, respectful_pairings
+from .partitions import DEFAULT_SIZE_CAP, _check_cap
 
 DEFAULT_MAX_ORDER = 10
 # Law files and the CLI's --n/--N/--k set the conversion order from outside,
@@ -302,34 +302,6 @@ def builtin_law_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILTIN))
 
 
-def transformed_law(
-    base: str,
-    h: int,
-    max_order: Optional[int] = None,
-    cap: int = DEFAULT_SIZE_CAP,
-) -> LawSpec:
-    """Law of U_h(S) (base='semicircle') or H_h(N) (base='gaussian').
-
-    The k-th moment is the respectful pairing count |NC2*(h^(x)k)| resp.
-    |P2*(h^(x)k)|; odd h*k gives 0.  Orders are limited by h*k <= cap.
-    """
-    if h < 1:
-        raise LawError("h must be >= 1")
-    if base not in ("semicircle", "gaussian"):
-        raise LawError("base must be 'semicircle' or 'gaussian'")
-    kind = "free" if base == "semicircle" else "classical"
-    mode = "noncrossing" if kind == "free" else "classical"
-    if max_order is None:
-        max_order = cap // h
-    if h * max_order > cap:
-        raise LawError(f"h*max_order = {h * max_order} exceeds cap {cap}")
-    moms = [Fraction(1)]
-    for k in range(1, max_order + 1):
-        moms.append(Fraction(respectful_pairings(h, k, mode, cap)))
-    name = f"U{h}(S)" if kind == "free" else f"H{h}(N)"
-    return _law_from_moments(name, kind, moms)
-
-
 def multivariate_cumulant(
     joint_moment_oracle: Callable[[tuple[int, ...]], Fraction],
     n: int,
@@ -384,43 +356,6 @@ def multivariate_cumulant(
                 total += times_rest(kappa[B], S, B)
         kappa[S] = m(S) - total
     return kappa[(1 << n) - 1]
-
-
-def _three_term(name: str, h: int, x, shift, weight: Callable[[int], object]):
-    """P_h(x) for P_0 = 1, P_1 = x and P_{k+1} = (x - shift) P_k - weight(k) P_{k-1}."""
-    if h < 0:
-        raise LawError(f"{name} must be >= 0")
-    prev, cur = 1, x
-    for k in range(1, h):
-        prev, cur = cur, (x - shift) * cur - weight(k) * prev
-    return cur if h else prev
-
-
-def poly_eval_chebyshev(h: int, x):
-    """Chebyshev polynomial of the second kind U_h at x."""
-    return _three_term("h", h, x, 0, lambda k: 1)
-
-
-def poly_eval_hermite(h: int, x):
-    """Monic (probabilists') Hermite polynomial H_h at x."""
-    return _three_term("h", h, x, 0, lambda k: k)
-
-
-def free_charlier(k: int, x, t):
-    """Free Charlier polynomial C_{0,k}(x, t): C_0 = 1, C_1 = x,
-    C_{m+1} = (x - 1) C_m - t C_{m-1}."""
-    return _three_term("k", k, x, 1, lambda m: t)
-
-
-def law_to_json(law: LawSpec) -> str:
-    return json.dumps(
-        {
-            "name": law.name,
-            "kind": law.kind,
-            "moments": [f"{m.numerator}/{m.denominator}" for m in law.moments],
-        },
-        indent=2,
-    )
 
 
 def law_from_json(text: str) -> LawSpec:

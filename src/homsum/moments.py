@@ -731,24 +731,6 @@ def fmt_report(spec: SumSpec, tolerance: Optional[Fraction] = None, cap: int = D
     }
 
 
-def fmt_family_report(specs: Sequence[tuple[int, SumSpec]], cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
-    """Evaluate the fmt diagnostics along a kernel family parameterized by n."""
-    rows = []
-    for n, spec in specs:
-        rep = fmt_report(spec, cap=cap)
-        rows.append(
-            {
-                "n": n,
-                "tau_max": rep["tau_max"],
-                "fourth_cumulant": rep["fourth_cumulant"],
-                "max_contraction_norm_sq": max(
-                    rep["contraction_norms_sq"].values(), default=Fraction(0)
-                ),
-            }
-        )
-    return rows
-
-
 def noncentral_report(spec: SumSpec, target: str, param, cap: int = DEFAULT_SIZE_CAP) -> dict:
     """Gamma / free-Poisson approximation diagnostic.
 
@@ -845,11 +827,3 @@ def stein_wasserstein_bound(
         "rosenthal_c3": rosenthal_c3,
     }
 
-
-def hypercontractivity_bound(spec: SumSpec, q: float, gamma: float, cap: int = DEFAULT_SIZE_CAP) -> float:
-    """Uniform-integrability bound gamma^d (2 sqrt(q-1))^{dq} E[Q^2]^{q/2}."""
-    if gamma is None:
-        raise ValueError("the sup-moment gamma = E|X|^q must be supplied")
-    d = spec.kernel.d
-    m2 = float(moment_exact(spec, 2, cap))
-    return gamma**d * (2.0 * math.sqrt(q - 1.0)) ** (d * q) * m2 ** (q / 2.0)

@@ -79,13 +79,6 @@ def poly_mul(p, q) -> Poly:
     return poly_trim(out)
 
 
-def poly_eval(p, x):
-    acc = x * 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def poly_to_strings(p) -> list[str]:
     return [f"{c.numerator}/{c.denominator}" for c in p]
 
@@ -525,38 +518,6 @@ def multi_gops_determinant(
     if coeffs.get(tuple(n), Fraction(0)) == 0:
         raise DegenerateError("leading multivariate coefficient vanishes")
     return coeffs
-
-
-def multi_orthogonality_check(
-    F: MultiMomentFunctional, p: MultiPoly, n: tuple[int, ...], m: tuple[int, ...]
-) -> dict:
-    """E[X^k p(X)] = 0 for every k <= n - m, and nonvanishing at every
-    multi-index a <= n covering n - m (one coordinate bumped by 1)."""
-    nm = tuple(ni - mi for ni, mi in zip(n, m))
-    vals = {}
-    for k in multi_indices_upto(nm):
-        acc = Fraction(0)
-        for h, c in p.items():
-            acc += c * F.moment(0, tuple(a + b for a, b in zip(k, h)))
-        vals[k] = acc
-    covers = []
-    for i in range(len(n)):
-        a = list(nm)
-        a[i] += 1
-        if a[i] <= n[i]:
-            covers.append(tuple(a))
-    cover_vals = {}
-    for a in covers:
-        acc = Fraction(0)
-        for h, c in p.items():
-            acc += c * F.moment(0, tuple(x + y for x, y in zip(a, h)))
-        cover_vals[a] = acc
-    return {
-        "values": vals,
-        "orthogonal": all(v == 0 for v in vals.values()),
-        "cover_values": cover_vals,
-        "nonvanishing_covers": all(v != 0 for v in cover_vals.values()),
-    }
 
 
 # ---------------------------------------------------------------------------

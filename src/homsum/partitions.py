@@ -38,7 +38,7 @@ class SetPartition(tuple):
 
     Canonical form: each block is an ascending tuple, blocks are sorted by
     their least element.  Construction through :meth:`from_blocks` (or
-    :func:`kernel_of` etc.) guarantees canonicity; the raw constructor
+    :meth:`parse`) guarantees canonicity; the raw constructor
     ``SetPartition(blocks)`` trusts its input.  ``len`` counts the blocks.
     """
 
@@ -143,22 +143,6 @@ def _factor_layout(degrees: Sequence[int]) -> SetPartition:
     factor.  Zero-degree factors contribute no positions."""
     starts = list(itertools.accumulate(degrees, initial=1))
     return SetPartition(tuple(range(a, b)) for a, b in zip(starts, starts[1:]) if b > a)
-
-
-def kernel_of(indices) -> SetPartition:
-    """Partition of positions: p ~ q iff indices[p] == indices[q]."""
-    seq = tuple(indices)
-    if not seq:
-        raise ValueError("empty index sequence")
-    first_pos: dict = {}
-    groups: list[list[int]] = []
-    for pos, v in enumerate(seq, start=1):
-        if v in first_pos:
-            groups[first_pos[v]].append(pos)
-        else:
-            first_pos[v] = len(groups)
-            groups.append([pos])
-    return SetPartition(map(tuple, groups))
 
 
 def lattice_meet(sigma: SetPartition, pi: SetPartition) -> SetPartition:

@@ -7,10 +7,19 @@ from functools import lru_cache
 import pytest
 
 from homsum.kernels import Kernel, KernelError
-from homsum.laws import _partition_classes
+from homsum.laws import LawError, _law_from_moments, _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
-from homsum.orthopoly import DegenerateError, OrthopolyError, exact_det, poly_mul, poly_trim, quadrature_rule
+from homsum.orthopoly import (
+    DegenerateError,
+    OrthopolyError,
+    exact_det,
+    multi_indices_upto,
+    poly_mul,
+    poly_trim,
+    quadrature_rule,
+)
 from homsum.partitions import (
+    DEFAULT_SIZE_CAP,
     PartitionFilter,
     SetPartition,
     _factor_layout,
@@ -18,6 +27,7 @@ from homsum.partitions import (
     enumerate_partitions,
     interval_partition,
     moebius_to_top,
+    respectful_pairings,
 )
 
 
@@ -31,6 +41,46 @@ def slice_kernel(f, prefix):
         raise KernelError("prefix index out of range")
     prefix = tuple(prefix)
     return Kernel(f.n, f.d - m, {idx[m:]: v for idx, v in f.values.items() if idx[:m] == prefix}, f.mode)
+
+
+def kernel_of(indices):
+    """Partition of positions: p ~ q iff indices[p] == indices[q]."""
+    seq = tuple(indices)
+    if not seq:
+        raise ValueError("empty index sequence")
+    first_pos = {}
+    groups = []
+    for pos, v in enumerate(seq, start=1):
+        if v in first_pos:
+            groups[first_pos[v]].append(pos)
+        else:
+            first_pos[v] = len(groups)
+            groups.append([pos])
+    return SetPartition(map(tuple, groups))
+
+
+def transformed_law(base, h, max_order=None, cap=DEFAULT_SIZE_CAP):
+    """Law of U_h(S) (base='semicircle') or He_h(N) (base='gaussian').
+
+    The k-th moment is the respectful pairing count |NC2*(h^(x)k)| resp.
+    |P2*(h^(x)k)|; odd h*k gives 0.  Orders are limited by h*k <= cap.  Its
+    cumulants referee ``moments._diagram_weight`` on (h,)*k signatures.
+    """
+    if h < 1:
+        raise LawError("h must be >= 1")
+    if base not in ("semicircle", "gaussian"):
+        raise LawError("base must be 'semicircle' or 'gaussian'")
+    kind = "free" if base == "semicircle" else "classical"
+    mode = "noncrossing" if kind == "free" else "classical"
+    if max_order is None:
+        max_order = cap // h
+    if h * max_order > cap:
+        raise LawError(f"h*max_order = {h * max_order} exceeds cap {cap}")
+    moms = [F(1)]
+    for k in range(1, max_order + 1):
+        moms.append(F(respectful_pairings(h, k, mode, cap)))
+    name = f"U{h}(S)" if kind == "free" else f"H{h}(N)"
+    return _law_from_moments(name, kind, moms)
 
 
 def per_class_enumeration(k):
@@ -276,6 +326,18 @@ def per_column_cofactors(rows):
 @pytest.fixture(scope="session")
 def cofactor_referee():
     return per_column_cofactors
+
+
+def multi_orthogonality_check(func, p, n, m):
+    """E[X^k p(X)] for every multi-index k <= n - m, and whether all vanish:
+    the referee of ``multi_gops_determinant``."""
+    vals = {}
+    for k in multi_indices_upto(tuple(ni - mi for ni, mi in zip(n, m))):
+        acc = F(0)
+        for h, c in p.items():
+            acc += c * func.moment(0, tuple(a + b for a, b in zip(k, h)))
+        vals[k] = acc
+    return {"values": vals, "orthogonal": all(v == 0 for v in vals.values())}
 
 
 def stieltjes_recurrence(func, N):

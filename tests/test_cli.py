@@ -595,6 +595,25 @@ def test_csv_output_golden(argv, digest, size, capsys, monkeypatch):
     assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
 
 
+# text reports with nested, Fraction and float fields beside a row table,
+# recorded while render's text branch still copied the whole report
+TEXT_GOLDEN = [
+    (["fmt-check", "--kernel", "half.json", "--law", "gaussian", "--format", "text"],
+     "455f2a3da39d48367f90c9c651f6cf9445eebc99b3e97e4a35289957f4a66cfa", 624),
+    (["quadrature", "--law", "gaussian", "--n", "4", "--format", "text"],
+     "11c2ce102d08cb2b20b67e3a5df2be675aa06a00d1240e49a8076fbdb01cf8cd", 419),
+]
+
+
+@pytest.mark.parametrize("argv,digest,size", TEXT_GOLDEN)
+def test_text_output_golden(argv, digest, size, capsys, monkeypatch):
+    monkeypatch.delenv("HOMSUM_CAP", raising=False)
+    monkeypatch.chdir(DATA)
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size)
+
+
 _KEYS = (st.text(max_size=4) | st.sampled_from(["0", "1", "True", "None", "1/2"]) | st.integers(-2, 2)
          | st.booleans() | st.none() | st.fractions(max_denominator=3))
 _LEAVES = (

@@ -17,9 +17,6 @@ from homsum.kernels import (
     influence_first_slot,
     kernel_from_json,
     kernel_to_json,
-    lift,
-    lifted_contraction_norms_sq,
-    lifted_midpoint_norm_sq,
     offdiag_kernel,
     scale_to_unit_variance,
     star_contraction,
@@ -264,36 +261,6 @@ def test_slice():
     assert slice_kernel(f, (1, 2))(()) == F(1, 2)
     with pytest.raises(KernelError):
         slice_kernel(f, (1, 2, 1))
-
-
-def test_lift_dictionary():
-    f = HALF
-    # orders (1,...,1): every lifted norm is a plain contraction norm
-    lk1 = lift(f, (1, 1))
-    n1 = lifted_contraction_norms_sq(lk1)
-    assert n1[1] == {"kind": "contraction", "order": 1,
-                     "norm_sq": contraction(f, f, 1).norm_sq()}
-    # orders (2,2): r=2 plain contraction, r=1 and r=3 star contractions
-    lk2 = lift(f, (2, 2))
-    n2 = lifted_contraction_norms_sq(lk2)
-    assert n2[2]["kind"] == "contraction" and n2[2]["order"] == 1
-    assert n2[1] == {"kind": "star", "order": 1,
-                     "norm_sq": star_contraction(f, f, 1).norm_sq()}
-    assert n2[3] == {"kind": "star", "order": 2,
-                     "norm_sq": star_contraction(f, f, 2).norm_sq()}
-    mid = lifted_midpoint_norm_sq(lk2)
-    assert mid == {"kind": "contraction", "order": 1,
-                   "norm_sq": (contraction(f, f, 1) - f).norm_sq()}
-    # odd degree with even middle order: star midpoint
-    f3 = build_kernel(3, 3, [(p, F(1)) for p in itertools.permutations((1, 2, 3))])
-    lk3 = lift(f3, (1, 2, 1))
-    mid3 = lifted_midpoint_norm_sq(lk3)
-    assert mid3["kind"] == "star" and mid3["order"] == 2
-    # zero kernel lifts to zero norms
-    z = lift(build_kernel(2, 2, []), (2, 2))
-    assert all(v["norm_sq"] == 0 for v in lifted_contraction_norms_sq(z).values())
-    with pytest.raises(KernelError):
-        lift(f, (1, 2))  # not palindromic
 
 
 def test_stimacontr_inequalities():

@@ -31,13 +31,13 @@ from homsum.moments import (
     FeasibilityError,
     SumSpec,
     _block_sum,
+    _diagram_weight,
     _fourth_class_sums,
     _free_word_expectation,
     _respectful_blocks,
     _standard_fourth,
     fmt_report,
     fourth_moment_formula,
-    hypercontractivity_bound,
     joint_moment,
     moment_exact,
     moment_oracle,
@@ -48,7 +48,7 @@ from homsum.moments import (
 )
 from homsum.partitions import PartitionFilter, _factor_layout, count_partitions, enumerate_partitions, respectful_pairings
 
-from conftest import slice_kernel
+from conftest import slice_kernel, transformed_law
 
 HALF = build_kernel(2, 2, [((1, 2), F(1, 2)), ((2, 1), F(1, 2))])
 ONE2 = build_kernel(2, 2, [((1, 2), F(1)), ((2, 1), F(1))])
@@ -395,7 +395,7 @@ def test_cross_engine_chi_square_and_free_poisson_identities():
     # lattice moments of the degree-1 sum driven by those laws.  Both routes
     # sum over the engine's orbits; the pairing referee of the next tests is
     # what keeps wick_moment apart from the lattice.
-    from homsum.laws import gamma_f, transformed_law
+    from homsum.laws import gamma_f
 
     assert transformed_law("gaussian", 2, 6).moments == gamma_f(1, 6).moments
     f = build_kernel(3, 1, [((1,), F(1, 2)), ((2,), F(1, 3)), ((3,), F(-1, 4))])
@@ -465,6 +465,21 @@ def test_wick_moment_refuses_a_base_with_a_diagonal_entry():
         with pytest.raises(ValueError, match="diagonal"):
             wick_moment(lift(f, (1, 1)), 2, kind)
     assert wick_moment(lift(f, (1, 1)), 0, "classical") == 1
+
+
+def test_diagram_weights_are_the_cumulants_of_the_transformed_laws():
+    # a block whose positions all carry order h weighs the k-th cumulant of
+    # He_h(N) (classical) or U_h(S) (free), k its size: the first-block
+    # recursion over position sets against convert on the respectful
+    # pairing counts of k * h points, at every order the default cap allows
+    checked = 0
+    for base, free in (("gaussian", False), ("semicircle", True)):
+        for h in range(1, 5):
+            law = transformed_law(base, h)
+            for k in range(1, law.max_order + 1):
+                assert _diagram_weight((h,) * k, free) == law.cumulant(k), (base, h, k)
+                checked += 1
+    assert checked == 56
 
 
 def test_wick_matches_transformed_law_hermite_sum():
@@ -756,15 +771,6 @@ def test_stein_bound():
         stein_wasserstein_bound(SumSpec(HALF, gaussian(4, 10)), abs_third_moment=e_abs3)
 
 
-def test_hypercontractivity_bound():
-    spec = SumSpec(HALF, gaussian(1, 10))
-    assert abs(hypercontractivity_bound(spec, 4, 3.0) - 186624) < 1e-6
-    # q = 2 reduces to gamma^d 2^{2d} E[Q^2]
-    assert abs(hypercontractivity_bound(spec, 2, 3.0) - 9 * 16 * 1) < 1e-9
-    zero = build_kernel(2, 2, [])
-    assert hypercontractivity_bound(SumSpec(zero, gaussian(1, 10)), 4, 3.0) == 0.0
-
-
 def test_non_iid_fourth_moment_bound():
     from homsum.laws import LawSpec, convert
     from homsum.moments import fourth_moment_bound_non_iid
@@ -811,10 +817,7 @@ def test_star_family_tau_does_not_vanish():
 
 
 def test_fmt_family_report_trajectory():
-    from homsum.moments import fmt_family_report
-
-    specs = [(n, SumSpec(offdiag_kernel(n), gaussian(1, 10))) for n in (3, 4, 5)]
-    rows = fmt_family_report(specs)
+    rows = [fmt_report(SumSpec(offdiag_kernel(n), gaussian(1, 10))) for n in (3, 4, 5)]
     assert [r["n"] for r in rows] == [3, 4, 5]
     # normalized tau = 2/n decays along the family
     taus = [r["tau_max"] * F(1, n * (n - 1)) for r, n in zip(rows, (3, 4, 5))]

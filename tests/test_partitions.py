@@ -19,13 +19,14 @@ from homsum.partitions import (
     _check_cap,
     _walk,
     interval_partition,
-    kernel_of,
     lattice_join,
     lattice_meet,
     moebius_to_top,
     respectful_pairings,
     riordan,
 )
+
+from conftest import kernel_of
 
 
 def parts(n, **kw):
