@@ -6,8 +6,20 @@ from operator import attrgetter
 
 __version__ = "0.1.0"
 
-# the largest ground set a set-partition enumeration or count may walk
+# the largest ground set a partition walk or joint cumulant may take; _check_cap refuses more
 DEFAULT_SIZE_CAP = 14
+
+
+class SizeCapError(ValueError):
+    """Raised when an enumeration would exceed the configured ground-set cap."""
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise SizeCapError(
+            f"ground set of size {n} exceeds the cap {cap}; "
+            f"raise the cap explicitly if you really want this"
+        )
 
 
 def record(cls):

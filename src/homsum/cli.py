@@ -218,6 +218,8 @@ def _load_law(args, max_order: int = 10) -> L.LawSpec:
     if name is None:
         raise CliValidationError("law", "a --law is required", "law")
     if name.endswith(".json") or os.path.sep in name:
+        if getattr(args, "law_param", None):
+            raise CliValidationError("law-param", "--law-param applies to builtin laws only", "law-param")
         try:
             with open(name) as fh:
                 return L.law_from_json(fh.read())
@@ -306,7 +308,8 @@ def cmd_moment(args, cap):
     from . import moments as M
 
     f = _load_kernel(args.kernel, "exact")
-    law = _load_law(args, max_order=max(10, args.order * f.d))
+    # a respectful block holds at most one position per factor
+    law = _load_law(args, max_order=max(10, args.order))
     spec = M.SumSpec(f, law)
     value = M.moment_exact(spec, args.order, cap)
     rep = {"value": value, "order": args.order, "law": law.name, "kind": law.kind}
@@ -376,13 +379,13 @@ def cmd_gops(args, cap):
     F = _law_functional(args, 2 * args.n)
     p_det = O.gops_determinant(F, args.n, args.m)
     rep = {
-        "determinant_route": O.poly_to_strings(p_det),
+        "determinant_route": p_det,
         "orthogonality": O.orthogonality_check(F, p_det, args.n, args.m),
     }
     if args.with_expectation_route:
         p_exp = O.gops_expectation(F, args.n, args.m)
-        rep["expectation_route"] = O.poly_to_strings(p_exp)
-        rep["route_ratio"] = O._andreief_ratio(p_det, p_exp, args.n, args.m)
+        rep["expectation_route"] = p_exp
+        rep["route_ratio"] = O.gops_route_ratio(p_det, p_exp, args.n, args.m)
     return rep
 
 
@@ -394,7 +397,7 @@ def cmd_recurrence(args, cap):
     return {
         "alphas": rec["alphas"],
         "betas": rec["betas"],
-        "polys": [O.poly_to_strings(p) for p in rec["polys"]],
+        "polys": rec["polys"],
     }
 
 
@@ -423,8 +426,8 @@ def cmd_discriminant(args, cap):
 
     if args.method == "lu_gaussian" and args.law != "gaussian":
         raise CliValidationError("method", "lu_gaussian is the Gaussian closed form; it needs --law gaussian", "method")
-    need = 2 * (args.k * (args.N - 1) + 1)
-    F = _law_functional(args, need)
+    # expansion reads moments to order 2k(N-1), the Gauss rule two more
+    F = _law_functional(args, 2 * args.k * (args.N - 1) + (2 if args.method == "quadrature" else 0))
     val = O.discriminant_moment(F, args.N, args.k, args.method)
     return {"value": val, "method": args.method, "N": args.N, "k": args.k}
 
@@ -432,13 +435,13 @@ def cmd_discriminant(args, cap):
 def cmd_sylvester(args, cap):
     from . import orthopoly as O
 
-    need = max(2 * args.n * (2 * args.k - 1), 4 * args.n)
-    F = _law_functional(args, need)
+    # the discriminant mode reads moments to order 2kn-1, appel to 2n
+    F = _law_functional(args, max(2 * args.k * args.n - 1, 2 * args.n))
     dec = O.sylvester_decompose(F, args.n, args.k, mode=args.sylvester_mode)
     return {
         "mode": dec.mode,
         "degree": dec.degree,
-        "poly": O.poly_to_strings(dec.poly),
+        "poly": dec.poly,
         "rows": _node_rows(dec.nodes, dec.weights),
         "weight_sum_re": dec.weight_sum.real,
         "weight_sum_im": dec.weight_sum.imag,

@@ -325,10 +325,6 @@ def _squares_out(f: Kernel, sums: list, den: int) -> list[Scalar]:
     return [float(s) for s in sums]
 
 
-def tau_max(f: Kernel) -> Scalar:
-    return max(influence(f), default=f._zero)
-
-
 @record
 class LiftedKernel:
     """A kernel lifted to tensor degree m = sum(orders); orders must be palindromic."""

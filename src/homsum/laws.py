@@ -4,8 +4,9 @@ Moments and cumulants are tied together by the partition-lattice formulas:
 the n-th raw moment is the sum over partitions of [n] (non-crossing
 partitions in the free case) of products of per-block cumulants.  Law
 conversion and joint cumulants solve them by the first-block recursion, which
-enumerates neither set partitions nor block-size classes; a fixed order limit
-bounds the conversion and the partition size cap the joint cumulant.
+enumerates neither set partitions nor block-size classes, so the module loads
+no partition code; a fixed order limit bounds the conversion, and the
+package's size cap (refused by ``homsum.SizeCapError``) the joint cumulant.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from . import record
-from .partitions import DEFAULT_SIZE_CAP, _check_cap
+from . import DEFAULT_SIZE_CAP, _check_cap, record
 
 DEFAULT_MAX_ORDER = 10
 # Law files and the CLI's --n/--N/--k set the conversion order from outside,

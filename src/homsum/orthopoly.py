@@ -79,10 +79,6 @@ def poly_mul(p, q) -> Poly:
     return poly_trim(out)
 
 
-def poly_to_strings(p) -> list[str]:
-    return [f"{c.numerator}/{c.denominator}" for c in p]
-
-
 # ---------------------------------------------------------------------------
 # exact determinants
 
@@ -355,24 +351,18 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def gops_route_ratio(F: MomentFunctional, n: int, m: int) -> Fraction:
-    """Exact ratio expectation-route / determinant-route, which Andreief's
-    identity (Andreief 1883; Heine's formula for m = 1) fixes at r! with
-    r = n - m + 1: for each sigma in S_r, E[Delta(x_0, X) prod_j X_j^sigma_j]
-    is the moment determinant with row j shifted by sigma_j, and putting
-    those rows back in order costs the sign of sigma, so all r! terms of
-    Delta(X_1..X_r) give the determinant route.
+def gops_route_ratio(p_det: Poly, p_exp: Poly, n: int, m: int) -> Fraction:
+    """Exact ratio of the expectation route ``p_exp`` of p_{n,m} to its
+    determinant route ``p_det``, which Andreief's identity (Andreief 1883;
+    Heine's formula for m = 1) fixes at r! with r = n - m + 1: for each sigma
+    in S_r, E[Delta(x_0, X) prod_j X_j^sigma_j] is the moment determinant with
+    row j shifted by sigma_j, and putting those rows back in order costs the
+    sign of sigma, so all r! terms of Delta(X_1..X_r) give the determinant route.
 
     Raises OrthopolyError unless every coefficient of the expectation route
     is r! times the determinant route's."""
-    return _andreief_ratio(gops_determinant(F, n, m), gops_expectation(F, n, m), n, m)
-
-
-def _andreief_ratio(pd: Poly, pe: Poly, n: int, m: int) -> Fraction:
-    """(n - m + 1)! when the expectation route ``pe`` is that multiple of the
-    determinant route ``pd``, coefficient by coefficient; raises otherwise."""
     ratio = Fraction(math.factorial(n - m + 1))
-    if any(a != ratio * b for a, b in zip(pe, pd)):
+    if any(a != ratio * b for a, b in zip(p_exp, p_det)):
         raise OrthopolyError(f"expectation route is not {ratio} times the determinant route")
     return ratio
 

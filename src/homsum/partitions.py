@@ -18,19 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from . import DEFAULT_SIZE_CAP, record
-
-
-class SizeCapError(ValueError):
-    """Raised when an enumeration would exceed the configured ground-set cap."""
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise SizeCapError(
-            f"ground set of size {n} exceeds the cap {cap}; "
-            f"raise the cap explicitly if you really want this"
-        )
+from . import DEFAULT_SIZE_CAP, SizeCapError, _check_cap, record
 
 
 class SetPartition(tuple):

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import record
 from .laws import LawSpec, builtin_law
-from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
 
 if TYPE_CHECKING:
     from .kernels import Kernel
@@ -498,6 +497,8 @@ def variations_cumulant_check(
     joint-cumulant estimator is evaluated per path group; the group spread
     provides the standard error.
     """
+    from .partitions import PartitionFilter, enumerate_partitions, moebius_to_top
+
     orders = tuple(orders)
     if any(c < 1 for c in orders):
         raise ValueError("variation orders must be >= 1")

@@ -20,7 +20,6 @@ from homsum.kernels import (
     offdiag_kernel,
     star_contraction,
     star_kernel,
-    tau_max,
 )
 from homsum.laws import (
     LawSpec,
@@ -44,6 +43,7 @@ from homsum.orthopoly import (
     OrthopolyError,
     discriminant_moment,
     gops_determinant,
+    gops_expectation,
     gops_route_ratio,
     orthogonality_check,
     quadrature_rule,
@@ -308,7 +308,7 @@ def test_criterion_8_orthogonality_suite():
                     skipped += 1  # singular next minor: outside the criterion
                     continue
                 assert chk["nonvanishing_next"], (law.name, n, m)
-                ratio = gops_route_ratio(FM, n, m)
+                ratio = gops_route_ratio(p, gops_expectation(FM, n, m), n, m)
                 assert ratio == math.factorial(n - m + 1), (law.name, n, m)
                 checked += 1
     report(8, checked >= 50,
@@ -368,7 +368,7 @@ def test_criterion_10_lemma_level_inequalities():
         if not k.values:
             continue
         total += 1
-        tau = tau_max(k)
+        tau = max(influence(k))
         # Lemma stimacontr (mirror-symmetric admissible, scale invariant)
         for q in range(1, d):
             assert contraction(k, k, q).norm_sq() >= star_contraction(k, k, q + 1).norm_sq()

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from homsum.cli import SUBCOMMANDS, _json_lines, _jsonable, build_parser, render, run
 from homsum.kernels import build_kernel, kernel_to_json
+from homsum.laws import builtin_law
+from homsum.orthopoly import MomentFunctional, OrthopolyError, discriminant_moment, sylvester_decompose
 
 ROOT = Path(__file__).resolve().parents[1]
 # committed kernels: half.json is X1 X2 (f = 1/2 off the diagonal, n = 2),
@@ -546,8 +548,10 @@ MONTE_CARLO_ARGVS = [
     ["simulate-levy", "--paths", "40", "--orders", "3"],
     ["simulate-invariance", "--sizes", "4,8", "--trials", "2000", "--seed", "5"],
 ]
-# kstat and simulate-levy run neither the kernel layer nor the moment engine
-MONTE_CARLO_LAYERS = {"homsum", "homsum.cli", "homsum.laws", "homsum.partitions", "homsum.stochsim"}
+# kstat and simulate-levy run neither the kernel layer nor the moment engine,
+# and only simulate-levy enumerates set partitions
+MONTE_CARLO_LAYERS = {"homsum", "homsum.cli", "homsum.laws", "homsum.stochsim"}
+ORTHOPOLY_LAYERS = {"homsum", "homsum.cli", "homsum.laws", "homsum.orthopoly"}
 # standard modules an exact child does not load (numpy loads inspect itself)
 EXACT_SKIPS = {"dataclasses", "inspect", "csv"}
 
@@ -558,10 +562,16 @@ EXACT_SKIPS = {"dataclasses", "inspect", "csv"}
      {"homsum.laws", "homsum.moments", "homsum.orthopoly", "homsum.partitions", *EXACT_SKIPS}),
     (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"], None,
      {"homsum.orthopoly", *EXACT_SKIPS}),
-    (MONTE_CARLO_ARGVS[0], MONTE_CARLO_LAYERS, set()),
-    (MONTE_CARLO_ARGVS[1], MONTE_CARLO_LAYERS, set()),
+    (MONTE_CARLO_ARGVS[0], MONTE_CARLO_LAYERS, {"homsum.partitions"}),
+    (MONTE_CARLO_ARGVS[1], MONTE_CARLO_LAYERS, {"homsum.partitions"}),
     # np.unique would import numpy.ma
-    (MONTE_CARLO_ARGVS[2], MONTE_CARLO_LAYERS, {"numpy.ma"}),
+    (MONTE_CARLO_ARGVS[2], MONTE_CARLO_LAYERS | {"homsum.partitions"}, {"numpy.ma"}),
+    (["gops", "--law", "gaussian", "--n", "4", "--with-expectation-route"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
+    (["recurrence", "--law", "gaussian", "--n", "4"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
+    (["quadrature", "--law", "gaussian", "--n", "4"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
+    (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"], ORTHOPOLY_LAYERS,
+     {"homsum.partitions"}),
+    (["sylvester", "--law", "gaussian", "--n", "3"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
 ])
 def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     proc = run_python(
@@ -578,6 +588,13 @@ def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     if loaded is not None:
         assert set(modules) - EXACT_SKIPS - not_loaded == loaded
     assert not set(modules) & not_loaded, modules
+
+
+def test_laws_loads_no_partition_code():
+    # the first-block recursions enumerate no set partition
+    proc = run_python("import sys\nimport homsum.laws\nprint('homsum.partitions' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 # csv loads inside render's csv branch; its output is as recorded before
@@ -894,6 +911,35 @@ def test_law_orders_past_the_conversion_limit_exit_2(tmp_path):
     assert payload["result"]["error"] == {
         "code": "law", "message": "order 32 exceeds the conversion limit 30", "field": "law",
     }
+
+
+@pytest.mark.parametrize("argv, law, order, compute, keys", [
+    # expansion reads moments to order 2k(N-1) = 30
+    (["discriminant", "--law", "centered_poisson", "--N", "16", "--k", "1"], "centered_poisson", 30,
+     lambda F_: {"value": discriminant_moment(F_, 16, 1)}, ("value",)),
+    # the discriminant mode reads moments to order 2kn-1 = 15
+    (["sylvester", "--law", "uniform_centered", "--n", "8"], "uniform_centered", 15,
+     lambda F_: vars(sylvester_decompose(F_, 8, 1)), ("poly", "target", "consistent")),
+])
+def test_law_orders_sized_by_the_moments_the_run_reads(argv, law, order, compute, keys, tmp_path):
+    # these runs once asked for moments to order 32, past the conversion limit
+    code, payload = run_json(argv, tmp_path)
+    assert code == 0, payload["result"]
+    want = compute(MomentFunctional.from_law(builtin_law(law, max_order=order)))
+    assert {k: payload["result"][k] for k in keys} == {k: _jsonable(want[k]) for k in keys}
+    with pytest.raises(OrthopolyError):
+        compute(MomentFunctional.from_law(builtin_law(law, max_order=order - 1)))
+
+
+def test_law_param_with_a_law_file_exits_2(half_kernel_path, tmp_path):
+    # the file's law would be used and sigma2=5 silently dropped
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"name": "g", "kind": "classical", "moments": ["1", "0", "1", "0", "3"]}))
+    code, payload = run_json(["moment", "--kernel", half_kernel_path, "--law", str(law),
+                              "--law-param", "sigma2=5", "--order", "2"], tmp_path)
+    assert code == 2
+    error = payload["result"]["error"]
+    assert (error["code"], error["field"]) == ("law-param", "law-param")
 
 
 def test_joint_moment_sizes_the_law_by_the_word(tmp_path):

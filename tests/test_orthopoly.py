@@ -88,7 +88,7 @@ def test_gops_determinant_gaussian():
 def test_gops_expectation_proportional():
     p = gops_expectation(G, 2, 1)
     assert poly_trim(p) == (F(-2), F(0), F(2))
-    assert gops_route_ratio(G, 2, 1) == 2
+    assert gops_route_ratio(gops_determinant(G, 2, 1), p, 2, 1) == 2
 
 
 def test_single_group_orthogonality_m1():
@@ -100,16 +100,14 @@ def test_single_group_orthogonality_m1():
             p = gops_determinant(Fm, n, 1)
             chk = orthogonality_check(Fm, p, n, 1)
             assert chk["orthogonal"] and chk["nonvanishing_next"], (law.name, n)
-            assert gops_route_ratio(Fm, n, 1) == math.factorial(n)
+            assert gops_route_ratio(p, gops_expectation(Fm, n, 1), n, 1) == math.factorial(n)
 
 
-def test_route_ratio_other_than_the_andreief_constant_raises(monkeypatch):
-    import homsum.orthopoly as O
-
+def test_route_ratio_other_than_the_andreief_constant_raises():
     # a route off by 3 instead of 2! = 2 is a disagreement, not a new constant
-    monkeypatch.setattr(O, "gops_expectation", lambda F_, n, m: tuple(3 * c for c in gops_determinant(F_, n, m)))
+    p = gops_determinant(G, 2, 1)
     with pytest.raises(OrthopolyError, match="not 2 times"):
-        gops_route_ratio(G, 2, 1)
+        gops_route_ratio(p, tuple(3 * c for c in p), 2, 1)
 
 
 PERMUTATION_GUARD = 10**7
@@ -237,8 +235,9 @@ def test_determinant_route_reads_each_group_to_its_order(n, m):
     extras = [centered_poisson(2, 14).moments, gamma_f(3, 14).moments][: m - 1]
     exact = [main[: 2 * n - m + 1]] + [g[: n + 1] for g in extras]
     want = gops_determinant(MomentFunctional((main, *extras)), n, m)
-    assert gops_determinant(MomentFunctional(tuple(exact)), n, m) == want
-    assert gops_route_ratio(MomentFunctional(tuple(exact)), n, m) == math.factorial(n - m + 1)
+    Fe = MomentFunctional(tuple(exact))
+    assert gops_determinant(Fe, n, m) == want
+    assert gops_route_ratio(want, gops_expectation(Fe, n, m), n, m) == math.factorial(n - m + 1)
     for j in range(m):
         short = list(exact)
         short[j] = short[j][:-1]
@@ -250,7 +249,7 @@ def test_determinant_route_equals_the_expectation_route_with_a_short_extra_group
     Fs = MomentFunctional((gaussian(1, 14).moments, centered_poisson(2, 14).moments[:5]))
     assert gops_expectation(Fs, 4, 2) == (72, 180, -144, -60, 24)
     assert gops_determinant(Fs, 4, 2) == (12, 30, -24, -10, 4)
-    assert gops_route_ratio(Fs, 4, 2) == 6
+    assert gops_route_ratio(gops_determinant(Fs, 4, 2), gops_expectation(Fs, 4, 2), 4, 2) == 6
 
 
 def test_recurrence_reads_the_main_group_only():
@@ -275,7 +274,7 @@ def test_multi_group_orthogonality():
             p = gops_determinant(FM, n, m)
             chk = orthogonality_check(FM, p, n, m)
             assert chk["orthogonal"], (n, m)
-            assert gops_route_ratio(FM, n, m) == math.factorial(n - m + 1)
+            assert gops_route_ratio(p, gops_expectation(FM, n, m), n, m) == math.factorial(n - m + 1)
 
 
 def test_rademacher_hankel_degeneracy_detected():
@@ -336,7 +335,7 @@ def test_row_cofactors_equal_the_per_column_determinants(cofactor_referee, rows)
 
 
 def test_route_ratio_at_n6():
-    assert gops_route_ratio(G, 6, 1) == 720
+    assert gops_route_ratio(gops_determinant(G, 6, 1), gops_expectation(G, 6, 1), 6, 1) == 720
 
 
 def three_atom_law():

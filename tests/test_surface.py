@@ -11,7 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "lattice_meet": "the meet of the partition lattice, named in PAPER.md",
     "lattice_join": "the join of the partition lattice, named in PAPER.md",
-    "gops_route_ratio": "names an acceptance criterion",
     "fourth_moment_bound_non_iid": "the non-i.i.d. fourth-moment bound; the planned contraction-norm route serves it",
     "compound_poisson_path": "the per-path Levy API; the bitwise path tests pin _levy_draws through it",
     "variation": "the per-path Levy API; the bitwise path tests pin _levy_draws through it",
@@ -26,8 +25,10 @@ def _trees(*patterns):
 
 
 def _references(trees):
-    """Every name, attribute, import alias and string constant: the CLI
-    reaches kernel families through getattr on strings."""
+    """Every name, attribute and import alias, and each string constant that
+    is a value in a dict literal: the CLI reaches kernel families through
+    getattr on the values of such a table.  Other strings, report keys and
+    subscripts among them, call nothing."""
     refs = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -38,8 +39,8 @@ def _references(trees):
             elif isinstance(node, ast.alias):
                 refs.update(node.name.split("."))
                 refs.add(node.asname)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.add(node.value)
+            elif isinstance(node, ast.Dict):
+                refs.update(v.value for v in node.values if isinstance(v, ast.Constant) and isinstance(v.value, str))
     return refs
 
 
