@@ -2,30 +2,30 @@
 moments and Sylvester power-sum decompositions.
 
 Polynomials are coefficient tuples of Fractions, lowest degree first.
-Determinants and recurrence coefficients stay exact; Gauss rules come from
-the eigenvectors of the Jacobi matrix, and everything past that step is
-float with verified residuals.
+Determinants and recurrence coefficients stay exact; Gauss rules take the
+eigenvalues of the Jacobi matrix and the Christoffel numbers in plain
+Python floats, and everything past that step is float with verified
+residuals.
 
-numpy is imported inside the three routines that compute in floating point:
-``poly_roots``, ``_gauss_nodes_weights`` and ``sylvester_decompose``.
-Importing this module and every exact route (determinants, GOPs,
-recurrences, the discriminant by expansion or closed form) leave numpy
-unloaded.
+numpy is imported only by ``poly_roots`` and the discriminant mode of
+``sylvester_decompose`` (roots of A_m and a dense solve).  Importing this
+module, every exact route (determinants, GOPs, recurrences, the
+discriminant by expansion or closed form) and every Gauss-rule route
+(``quadrature_rule``, the discriminant by quadrature, the appel
+decomposition) leave numpy unloaded.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import record
 from .laws import LawSpec, _binomial_shift
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Poly = tuple[Fraction, ...]
 MultiPoly = dict[tuple[int, ...], Fraction]
@@ -43,6 +43,8 @@ ROOT_TOL = 1e-8
 QUADRATURE_TOL = 1e-9
 # a Sylvester decomposition is consistent when its residual is at most this
 SYLVESTER_RESIDUAL_TOL = 1e-6
+# most implicit QL sweeps one Gauss node may take, as in EISPACK imtql1
+QL_SWEEPS = 30
 
 
 class OrthopolyError(ValueError):
@@ -550,25 +552,96 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ...], np.ndarray]:
-    """Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
-    the Jacobi matrix, alpha_k on the diagonal and sqrt(beta_k) beside it,
-    and an eigenvector v gives the weight m_0 v_0^2 / (v^T v), m_0 = 1.  All
-    beta_k > 0 make it real symmetric (``eigh``); a quasi-definite functional
-    makes it complex symmetric (``eig``, v^T v without conjugation)."""
-    import numpy as np
+def _ql_eigenvalues(d: list, e: list, root: Callable) -> list:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e by implicit-shift QL (EISPACK ``imtql1``; Dubrulle, Martin &
+    Wilkinson, Numer. Math. 12, 1968), no eigenvectors.  ``root``
+    is ``math.sqrt`` for a real matrix and ``cmath.sqrt`` for a complex
+    symmetric one, whose rotations keep c^2 + s^2 = 1 without conjugation;
+    the shift g +- r takes the sign that maximises |g +- r|, which for real g
+    is the sign of g.  An eigenvalue left unconverged after QL_SWEEPS sweeps
+    raises OrthopolyError."""
+    n = len(d)
+    d, e = list(d), [*e, 0.0]
+    for l in range(n):
+        for sweep in range(QL_SWEEPS + 1):
+            # the first negligible off-diagonal entry at or after l splits the matrix
+            m = l
+            while m < n - 1:
+                tst = abs(d[m]) + abs(d[m + 1])
+                if tst + abs(e[m]) == tst:
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweep == QL_SWEEPS:
+                raise OrthopolyError(f"QL iteration did not converge in {QL_SWEEPS} sweeps; no Gauss rule")
+            g = (d[l + 1] - d[l]) / (2 * e[l])
+            r = root(g * g + 1)
+            g = d[m] - d[l] + e[l] / (g + r if abs(g + r) >= abs(g - r) else g - r)
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = root(f * f + g * g)
+                e[i + 1] = r
+                if r == 0:  # no rotation: split at i + 1, as imtql1 does on underflow
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return d
 
+
+def _recurrence_at(x, alphas: Sequence[float], betas: Sequence[float]) -> tuple:
+    """p_n(x), p_n'(x) and sum_{k<n} p_k(x)^2 / (beta_1 ... beta_k) for the
+    monic p_k of the three-term recurrence (beta_0 = 0, m_0 = 1)."""
+    p_prev, p, dp_prev, dp = 0.0, 1.0, 0.0, 0.0
+    norm, h = 0.0, 1.0
+    for k, (a, b) in enumerate(zip(alphas, betas)):
+        if k:
+            h *= b
+        norm += p * p / h
+        p_prev, p, dp_prev, dp = p, (x - a) * p - b * p_prev, dp, p + (x - a) * dp - b * dp_prev
+    return p, dp, norm
+
+
+def _gauss_nodes_weights(F: MomentFunctional, n: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Golub & Welsch (Math. Comp. 23, 1969) in plain floats: the nodes are
+    the eigenvalues of the Jacobi matrix, alpha_k on the diagonal and
+    sqrt(beta_k) beside it, from ``_ql_eigenvalues``.  All beta_k > 0 make it
+    real symmetric; a quasi-definite functional makes it complex symmetric
+    and the nodes may be complex.  Each node takes two Newton steps on p_n,
+    and its weight is the Christoffel number
+    1 / sum_{k<n} p_k(x)^2 / (beta_1 ... beta_k) (m_0 = 1), both evaluated
+    through the three-term recurrence."""
     rec = recurrence_coeffs(F, n)
-    betas = [float(b) for b in rec["betas"][1:]]
-    definite = all(b > 0 for b in betas)
-    off = np.sqrt(np.array(betas, dtype=float if definite else complex))
-    J = np.diag([float(a) for a in rec["alphas"]]) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, V = np.linalg.eigh(J) if definite else np.linalg.eig(J)
-    order = sorted(range(n), key=lambda j: _node_key(complex(nodes[j])))
-    nodes, V = tuple(complex(z) for z in nodes[order]), V[:, order]
+    root = math.sqrt if all(b > 0 for b in rec["betas"][1:]) else cmath.sqrt
+    alphas = [float(a) for a in rec["alphas"]]
+    betas = [float(b) for b in rec["betas"]]
+    if 0 in betas[1:]:
+        raise DegenerateError("a recurrence coefficient beta_k underflows a float; no Gauss rule")
+    nodes = _ql_eigenvalues(alphas, [root(b) for b in betas[1:]], root)
     if any(abs(a - b) <= ROOT_TOL for a, b in itertools.combinations(nodes, 2)):
         raise DegenerateError("the Jacobi matrix has (numerically) repeated eigenvalues; no Gauss rule")
-    return nodes, (V[0] ** 2 / (V * V).sum(axis=0)).astype(complex)
+    rule = []
+    for x in nodes:
+        for _ in range(2):
+            p, dp = _recurrence_at(x, alphas, betas)[:2]
+            x -= p / dp
+        norm = _recurrence_at(x, alphas, betas)[2]
+        rule.append((complex(x), complex(1 / norm)))
+    rule.sort(key=lambda xw: _node_key(xw[0]))
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
 def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) -> QuadratureRule:
@@ -593,7 +666,7 @@ def quadrature_rule(F: MomentFunctional, n: int, tol: float = QUADRATURE_TOL) ->
     kind = "real-simple" if all(abs(z.imag) < ROOT_TOL for z in nodes) else "complex"
     if kind == "real-simple":
         nodes = tuple(complex(z.real, 0.0) for z in nodes)
-        weights = weights.real.astype(complex)
+        weights = tuple(complex(w.real) for w in weights)
     return QuadratureRule(tuple(nodes), tuple(weights), 2 * n - 1, kind, max_resid)
 
 
@@ -767,8 +840,6 @@ def sylvester_decompose(
     weights; this decomposition is exact and reproduces Gauss quadrature.
     It is defined for k = 1 only.
     """
-    import numpy as np
-
     if mode == "appel" and k != 1:
         raise OrthopolyError("the appel decomposition is defined for k = 1 only")
     if n < 1 or k < 1:
@@ -786,14 +857,15 @@ def sylvester_decompose(
             )
             want = float(a_poly[h]) if h < len(a_poly) else 0.0
             resid = max(resid, abs(decomp_coeff - want))
-        wsum = complex(sum(weights))
         return SylvesterDecomposition(
-            "appel", m, a_poly, tuple(nodes), tuple(complex(w) for w in weights),
-            wsum, Fraction(1), resid, resid <= SYLVESTER_RESIDUAL_TOL,
+            "appel", m, a_poly, nodes, weights,
+            sum(weights), Fraction(1), resid, resid <= SYLVESTER_RESIDUAL_TOL,
         )
 
     if mode != "discriminant":
         raise OrthopolyError("mode must be 'discriminant' or 'appel'")
+    import numpy as np
+
     m = n * (2 * k - 1)
     pnk = discriminant_product_poly(F, n, k)
     a_m = translated_moment_poly(F, m)

@@ -4,19 +4,23 @@ from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from homsum.kernels import Kernel, KernelError
 from homsum.laws import LawError, _law_from_moments, _partition_classes
 from homsum.moments import _block_sum, _integer_scaled
 from homsum.orthopoly import (
+    ROOT_TOL,
     DegenerateError,
     OrthopolyError,
+    _node_key,
     exact_det,
     multi_indices_upto,
     poly_mul,
     poly_trim,
     quadrature_rule,
+    recurrence_coeffs,
 )
 from homsum.partitions import (
     DEFAULT_SIZE_CAP,
@@ -309,6 +313,32 @@ def tensor_rule_discriminant(func, N, k):
             delta *= rule.nodes[j] - rule.nodes[i]
         total += w * delta ** (2 * k)
     return total
+
+
+def numpy_gauss_rule(func, n):
+    """Golub & Welsch (Math. Comp. 23, 1969) through numpy: the nodes are the
+    eigenvalues of the Jacobi matrix, alpha_k on the diagonal and
+    sqrt(beta_k) beside it, and an eigenvector v gives the weight
+    m_0 v_0^2 / (v^T v), m_0 = 1.  All beta_k > 0 make it real symmetric
+    (``eigh``); a quasi-definite functional makes it complex symmetric
+    (``eig``, v^T v without conjugation).  The route ``_gauss_nodes_weights``
+    took before its implicit QL loop in plain floats, kept as its referee."""
+    rec = recurrence_coeffs(func, n)
+    betas = [float(b) for b in rec["betas"][1:]]
+    definite = all(b > 0 for b in betas)
+    off = np.sqrt(np.array(betas, dtype=float if definite else complex))
+    J = np.diag([float(a) for a in rec["alphas"]]) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, V = np.linalg.eigh(J) if definite else np.linalg.eig(J)
+    order = sorted(range(n), key=lambda j: _node_key(complex(nodes[j])))
+    nodes, V = tuple(complex(z) for z in nodes[order]), V[:, order]
+    if any(abs(a - b) <= ROOT_TOL for a, b in itertools.combinations(nodes, 2)):
+        raise DegenerateError("the Jacobi matrix has (numerically) repeated eigenvalues; no Gauss rule")
+    return nodes, tuple(complex(w) for w in V[0] ** 2 / (V * V).sum(axis=0))
+
+
+@pytest.fixture(scope="session")
+def gauss_rule_referee():
+    return numpy_gauss_rule
 
 
 @pytest.fixture(scope="session")

@@ -453,7 +453,9 @@ def test_partition_rows_are_the_text_form_past_nine(tmp_path, monkeypatch):
 # sha256 and byte length of the stdout of the CLI shapes the benchmark runs,
 # recorded before numpy left the exact subcommands; run from tests/data, so the
 # echoed kernel path is the bare file name.  quadrature and discriminant
-# --method quadrature pin the float formatting that still goes through numpy
+# --method quadrature pin the float formatting of their Gauss rules; the
+# quadrature entry was re-recorded when the rules left numpy, which moved its
+# max_residual from 3.19744231092e-14 to 2.36847578587e-16
 CLI_GOLDEN = [
     (["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"],
      "935d3686eb4abc50706893799b7c571125e741726d3391600681ea696a9b8f0b", 311),
@@ -468,7 +470,7 @@ CLI_GOLDEN = [
     (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"],
      "dadf60a69f217f6b414a15ec0129f6bcc9db44804a24ae7c5ca37809016da1c0", 315),
     (["quadrature", "--law", "gaussian", "--n", "4"],
-     "fcd5a19c0e60e6f9f1adbe79af995eaf102574da4994488dd5ddaa45d60bce1e", 872),
+     "6b3f81d487f6e8b35f19cbbe9db59c5926587b483ad1030738fe929caf004e8d", 872),
     # recorded while render still went through json.dumps(..., indent=2)
     (["partitions", "--n", "9", "--noncrossing"],
      "1480b7a880944e505d0508eeaf08c0fa5a29c6968d3ac5e8da1d9f6c1b76df0a", 384314),
@@ -494,8 +496,9 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-# every exact subcommand; numpy is loaded only by quadrature, sylvester,
-# discriminant --method quadrature and the three Monte Carlo subcommands
+# every exact subcommand and the Gauss-rule shapes, whose rules are plain
+# floats; numpy is loaded only by sylvester's discriminant mode and the three
+# Monte Carlo subcommands
 EXACT_ARGVS = [
     ["moment", "--kernel", "half.json", "--law", "gaussian", "--order", "4"],
     ["fmt-check", "--kernel", "k5.json", "--law", "semicircle"],
@@ -510,6 +513,9 @@ EXACT_ARGVS = [
     ["gops", "--law", "gaussian", "--n", "3", "--with-expectation-route"],
     ["recurrence", "--law", "centered_poisson", "--n", "4"],
     ["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"],
+    ["quadrature", "--law", "gaussian", "--n", "4"],
+    ["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "quadrature"],
+    ["sylvester", "--law", "gaussian", "--n", "3", "--sylvester-mode", "appel"],
 ]
 
 
@@ -568,10 +574,15 @@ EXACT_SKIPS = {"dataclasses", "inspect", "csv"}
     (MONTE_CARLO_ARGVS[2], MONTE_CARLO_LAYERS | {"homsum.partitions"}, {"numpy.ma"}),
     (["gops", "--law", "gaussian", "--n", "4", "--with-expectation-route"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
     (["recurrence", "--law", "gaussian", "--n", "4"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
-    (["quadrature", "--law", "gaussian", "--n", "4"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
+    # the Gauss-rule shapes, here and in the last two rows, compute in plain floats
+    (["quadrature", "--law", "gaussian", "--n", "4"], ORTHOPOLY_LAYERS, {"homsum.partitions", "numpy", *EXACT_SKIPS}),
     (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "expansion"], ORTHOPOLY_LAYERS,
      {"homsum.partitions"}),
     (["sylvester", "--law", "gaussian", "--n", "3"], ORTHOPOLY_LAYERS, {"homsum.partitions"}),
+    (["discriminant", "--law", "gaussian", "--N", "3", "--k", "2", "--method", "quadrature"], ORTHOPOLY_LAYERS,
+     {"homsum.partitions", "numpy", *EXACT_SKIPS}),
+    (["sylvester", "--law", "gaussian", "--n", "3", "--sylvester-mode", "appel"], ORTHOPOLY_LAYERS,
+     {"homsum.partitions", "numpy", *EXACT_SKIPS}),
 ])
 def test_subcommands_load_only_the_layers_they_run(argv, loaded, not_loaded):
     proc = run_python(
@@ -613,12 +624,13 @@ def test_csv_output_golden(argv, digest, size, capsys, monkeypatch):
 
 
 # text reports with nested, Fraction and float fields beside a row table,
-# recorded while render's text branch still copied the whole report
+# recorded while render's text branch still copied the whole report; the
+# quadrature entry re-recorded as in CLI_GOLDEN
 TEXT_GOLDEN = [
     (["fmt-check", "--kernel", "half.json", "--law", "gaussian", "--format", "text"],
      "455f2a3da39d48367f90c9c651f6cf9445eebc99b3e97e4a35289957f4a66cfa", 624),
     (["quadrature", "--law", "gaussian", "--n", "4", "--format", "text"],
-     "11c2ce102d08cb2b20b67e3a5df2be675aa06a00d1240e49a8076fbdb01cf8cd", 419),
+     "9c860bb208b3e934302893e2d8b9ecf0c05dff63c9132fd533e8394e82703ec9", 419),
 ]
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from homsum import orthopoly
+from homsum.cli import run
 from homsum.laws import (
     builtin_law,
     builtin_law_names,
@@ -433,8 +435,10 @@ QUADRATURE_REACH = [
     (centered_poisson(1, 30), 15),
     (gamma_f(F(3, 2), 30), 15),
     (uniform_centered(30), 15),
-    (semicircle(1, 30), 12),
-    (gaussian(1, 30), 8),
+    (free_poisson_centered(1, 30), 15),
+    (semicircle(1, 30), 15),
+    (tetilla(30), 14),
+    (gaussian(1, 30), 10),
 ]
 
 
@@ -445,14 +449,15 @@ def test_quadrature_rule_reach(law, reach):
         assert quadrature_rule(Fm, n).node_kind == "real-simple", (law.name, n)
 
 
+# m_{2j} (-1)^j from the standard Gaussian: the moments of iZ, a
+# quasi-definite functional with beta_k = -k.  Its Gauss rule has the
+# nodes i x_j and the weights of the Gauss-Hermite rule.
+IZ = MomentFunctional((tuple(m * (-1) ** (j // 2) for j, m in enumerate(G.groups[0])),))
+
+
 def test_quadrature_rule_with_complex_nodes():
-    # m_{2j} (-1)^j from the standard Gaussian: the moments of iZ, a
-    # quasi-definite functional with beta_k = -k.  Its Gauss rule has the
-    # nodes i x_j and the weights of the Gauss-Hermite rule.
-    ms = MomentFunctional.from_law(gaussian(1, 14)).groups[0]
-    Fm = MomentFunctional((tuple(m * (-1) ** (j // 2) for j, m in enumerate(ms)),))
     for n in range(2, 8):
-        rule = quadrature_rule(Fm, n)
+        rule = quadrature_rule(IZ, n)
         assert rule.node_kind == "complex"
         x, w = np.polynomial.hermite_e.hermegauss(n)
         w = w / math.sqrt(2 * math.pi)
@@ -461,12 +466,54 @@ def test_quadrature_rule_with_complex_nodes():
             assert abs(z - 1j * xj) < 1e-12 and abs(wz - wj) < 1e-12, (n, z, wz)
 
 
+def test_gauss_rules_equal_the_numpy_referee(gauss_rule_referee, monkeypatch):
+    # wherever both routes pass quadrature_rule's exactness check
+    cases = [(Fm, range(1, 16)) for Fm in builtin_functionals(30)] + [(IZ, range(2, 8))]
+
+    def rules():
+        out = {}
+        for i, (Fm, ns) in enumerate(cases):
+            for n in ns:
+                try:
+                    out[i, n] = quadrature_rule(Fm, n)
+                except OrthopolyError:
+                    pass
+        return out
+
+    ours = rules()
+    monkeypatch.setattr(orthopoly, "_gauss_nodes_weights", gauss_rule_referee)
+    theirs = rules()
+    both = ours.keys() & theirs.keys()
+    assert {(len(cases) - 1, n) for n in range(2, 8)} <= both
+    assert {i for i, _ in both} == set(range(len(cases)))
+    for key in sorted(both):
+        got, want = ours[key], theirs[key]
+        assert got.node_kind == want.node_kind, key
+        for a, b in zip(got.nodes + got.weights, want.nodes + want.weights):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (key, a, b)
+
+
+def test_ql_sweep_cap_raises_and_the_cli_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(orthopoly, "QL_SWEEPS", 1)
+    with pytest.raises(OrthopolyError, match="did not converge in 1 sweeps"):
+        quadrature_rule(G, 4)
+    assert run(["quadrature", "--law", "gaussian", "--n", "4"]) == 2
+    assert "did not converge" in capsys.readouterr().out
+
+
+def test_a_beta_below_the_float_range_is_degenerate():
+    # atoms -1, 0, 1 with P(0) = 10^-400: beta_2 = 10^-400 is 0.0 as a float
+    eps = F(1, 10**400)
+    Fm = MomentFunctional(((F(1), *(1 - eps if j % 2 == 0 else F(0) for j in range(1, 7))),))
+    assert recurrence_coeffs(Fm, 3)["betas"][2] == eps
+    with pytest.raises(DegenerateError, match="underflows a float"):
+        quadrature_rule(Fm, 3)
+
+
 def test_imaginary_nodes_and_roots_come_in_increasing_im():
     # a real part of rounding size counts as 0, so purely imaginary nodes and
     # roots sort by their imaginary parts alone
-    ms = MomentFunctional.from_law(gaussian(1, 14)).groups[0]
-    Fm = MomentFunctional((tuple(m * (-1) ** (j // 2) for j, m in enumerate(ms)),))
-    nodes = quadrature_rule(Fm, 5).nodes
+    nodes = quadrature_rule(IZ, 5).nodes
     x = np.polynomial.hermite_e.hermegauss(5)[0]
     assert all(abs(z - 1j * xj) < 1e-12 for z, xj in zip(nodes, x)), nodes
     roots = poly_roots((F(0), F(4), F(0), F(5), F(0), F(1)))["roots"]  # x^5 + 5x^3 + 4x
@@ -690,10 +737,10 @@ def test_sylvester_target_is_the_expansion_moment(discriminant_referee):
             assert dec.target == discriminant_referee.moment(Fm, n, k), (Fm, n, k)
 
 
-# the appel decomposition is consistent at every n up to these (n <= 10)
+# the appel decomposition is consistent at every n up to these
 APPEL_CONSISTENT_TO = {
-    "centered_poisson": 6, "free_poisson_centered": 9, "free_rademacher": 2, "gamma_f": 4,
-    "gaussian": 8, "rademacher": 2, "semicircle": 10, "tetilla": 10, "uniform_centered": 10,
+    "centered_poisson": 8, "free_poisson_centered": 10, "free_rademacher": 2, "gamma_f": 5,
+    "gaussian": 10, "rademacher": 2, "semicircle": 12, "tetilla": 12, "uniform_centered": 13,
 }
 
 
